@@ -13,10 +13,14 @@
 //!    sequential baseline's — and on conservation:
 //!    `writes_total + write_errors_total == ops issued`, errors zero,
 //! 4. gates multi-writer scaling at >= 2x single-writer ops/s in full
-//!    mode on hosts with >= `WRITER_THREADS` cores (report-only and
-//!    `degraded_single_core`-marked otherwise, per the bench-honesty
-//!    policy), and
-//! 5. writes `BENCH_write_throughput.json` at the repository root.
+//!    mode on hosts with >= `WRITER_THREADS` cores; with fewer cores
+//!    the bar is 1x (concurrent writers should not lose to one) and
+//!    report-only — the recorded 2-core runs miss it, see
+//!    EXPERIMENTS.md — with `degraded_single_core` marking one core,
+//! 5. reports how contended submissions waited
+//!    (`esdb_write_lock_wait_ns`: share of submissions, mean, p50,
+//!    p99), and
+//! 6. writes `BENCH_write_throughput.json` at the repository root.
 //!
 //! Pass `--fast` (or set `WRITE_THROUGHPUT_BENCH_FAST=1`) for the CI
 //! smoke configuration: identity and conservation gates stay hard, the
@@ -26,6 +30,7 @@ use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig, EsdbWriter};
 use esdb_doc::{CollectionSchema, Document};
+use esdb_telemetry::HistogramSnapshot;
 use esdb_workload::{DocGenerator, WriteEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,9 +43,17 @@ const THETA: f64 = 0.99;
 /// Concurrent writer threads in the multi-writer pass.
 const WRITER_THREADS: usize = 4;
 
-/// Minimum multi-writer ops/s over single-writer ops/s, enforced on
-/// full runs with at least `WRITER_THREADS` cores.
-const SCALING_GATE: f64 = 2.0;
+/// Minimum multi-writer ops/s over single-writer ops/s for this host,
+/// and whether a full run that misses it fails: with a core per writer
+/// thread, writers must scale 2x; with fewer, the bar is not losing to
+/// one writer, reported but not enforced.
+fn scaling_gate(host_cores: usize) -> (f64, bool) {
+    if host_cores >= WRITER_THREADS {
+        (2.0, true)
+    } else {
+        (1.0, false)
+    }
+}
 
 struct Scale {
     mode: &'static str,
@@ -165,8 +178,7 @@ fn main() {
     let mut multi_ns: Vec<u128> = Vec::with_capacity(scale.samples);
     let mut identity_ok = true;
     let mut conservation_ok = true;
-    let mut group_size_sum = 0u128;
-    let mut group_size_count = 0u64;
+    let mut lock_wait = HistogramSnapshot::new();
     for sample in 0..scale.samples {
         let mut single_db = open(&scale, &format!("single-{sample}"));
         single_ns.push(run_single(&single_db.writer(), &scheds));
@@ -191,15 +203,15 @@ fn main() {
             );
             identity_ok = false;
         }
-        // Group-commit effectiveness: ops applied per leader drain.
+        // Where contended submissions spent their time: blocked on a
+        // shard's engine lock behind another writer.
         if let Some((_, _, h)) = multi_db
             .telemetry_snapshot()
             .histograms
             .iter()
-            .find(|(n, _, _)| n == "esdb_write_group_size")
+            .find(|(n, _, _)| n == "esdb_write_lock_wait_ns")
         {
-            group_size_sum += h.sum();
-            group_size_count += h.count();
+            lock_wait.merge(h);
         }
     }
 
@@ -208,24 +220,23 @@ fn main() {
     let single_ops_s = issued as f64 / (sn as f64 / 1e9);
     let multi_ops_s = issued as f64 / (mn as f64 / 1e9);
     let scaling = multi_ops_s / single_ops_s;
-    let mean_group = if group_size_count > 0 {
-        group_size_sum as f64 / group_size_count as f64
-    } else {
-        0.0
-    };
+    let contended_share = lock_wait.count() as f64 / (issued * scale.samples as u64) as f64;
+    let (wait_p50, wait_p99) = (lock_wait.quantile(0.5), lock_wait.quantile(0.99));
+    let wait_mean = lock_wait.mean();
 
     println!(
         "write_throughput/{}: single-writer median {:.1}k ops/s, \
-         {WRITER_THREADS}-writer median {:.1}k ops/s ({scaling:.2}x), \
-         mean group size {mean_group:.2}",
+         {WRITER_THREADS}-writer median {:.1}k ops/s ({scaling:.2}x); \
+         {:.1}% of multi-writer submissions waited on a shard lock \
+         (mean {wait_mean:.0} ns, p50 {wait_p50} ns, p99 {wait_p99} ns)",
         scale.mode,
         single_ops_s / 1e3,
         multi_ops_s / 1e3,
+        contended_share * 100.0,
     );
 
-    // The scaling gate needs real cores to mean anything: enforce on
-    // full runs with >= WRITER_THREADS cores, report-only elsewhere.
-    let gate_enforced = !fast && host_cores >= WRITER_THREADS;
+    let (scaling_gate, enforceable) = scaling_gate(host_cores);
+    let gate_enforced = !fast && enforceable;
     let json = format!(
         "{{\n  \"bench\": \"write_throughput\",\n  \"mode\": \"{}\",\n  \"theta\": {THETA},\n  \
          \"shards\": {},\n  \"tenants\": {},\n  \"writer_threads\": {WRITER_THREADS},\n  \
@@ -233,8 +244,10 @@ fn main() {
          \"host_cores\": {host_cores},\n  \"degraded_single_core\": {degraded},\n  \
          \"single_median_ns\": {sn},\n  \"multi_median_ns\": {mn},\n  \
          \"single_ops_per_s\": {single_ops_s:.1},\n  \"multi_ops_per_s\": {multi_ops_s:.1},\n  \
-         \"scaling\": {scaling:.4},\n  \"mean_group_size\": {mean_group:.3},\n  \
-         \"scaling_gate\": {SCALING_GATE},\n  \"scaling_gate_enforced\": {gate_enforced},\n  \
+         \"scaling\": {scaling:.4},\n  \"lock_wait_share\": {contended_share:.4},\n  \
+         \"lock_wait_mean_ns\": {wait_mean:.0},\n  \"lock_wait_p50_ns\": {wait_p50},\n  \
+         \"lock_wait_p99_ns\": {wait_p99},\n  \
+         \"scaling_gate\": {scaling_gate},\n  \"scaling_gate_enforced\": {gate_enforced},\n  \
          \"identity_ok\": {identity_ok},\n  \"conservation_ok\": {conservation_ok}\n}}\n",
         scale.mode, scale.shards, scale.tenants, scale.ops_per_thread, scale.samples,
     );
@@ -251,10 +264,10 @@ fn main() {
         eprintln!("write_throughput: FAILED identity/conservation gate");
         std::process::exit(1);
     }
-    if gate_enforced && scaling < SCALING_GATE {
+    if gate_enforced && scaling < scaling_gate {
         eprintln!(
             "write_throughput: FAILED scaling gate: {scaling:.2}x \
-             (need {SCALING_GATE}x with {WRITER_THREADS} writers)"
+             (need {scaling_gate}x with {WRITER_THREADS} writers on {host_cores} cores)"
         );
         std::process::exit(1);
     }

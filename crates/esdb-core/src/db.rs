@@ -18,7 +18,7 @@ use esdb_query::Expr;
 use esdb_query::{
     aggregate_prepared_blocks_on_snapshot, aggregate_pushdown_eligible, aggregate_rows,
     block_eligible, execute_prepared_blocks_on_snapshot, execute_prepared_on_snapshot, optimize,
-    parse_sql, query_fingerprint, translate, AggPartials, AggResult, FilterCacheContext,
+    parse_sql, query_fingerprint, translate, AggPartials, AggResult, FilterCacheContext, Plan,
     PreparedPlan, Query, QueryOptions, QueryRows, SegmentFilterCache,
 };
 use esdb_replication::{build_handoff, HandoffPlan};
@@ -28,16 +28,14 @@ use esdb_routing::{
 };
 use esdb_storage::{ShardConfig, ShardEngine, ShardSnapshot, SnapshotCell, WriteFault};
 use esdb_telemetry::{
-    json_escape, Counter, DebugBundle, EventKind, Gauge, Histogram, Labels, MetricsRegistry,
-    QueryTrace, SlowQueryEntry, SlowWriteEntry, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    NO_PARENT,
+    json_escape, Counter, DebugBundle, EventKind, Histogram, Labels, MetricsRegistry, QueryTrace,
+    SlowQueryEntry, SlowWriteEntry, Telemetry, TelemetryConfig, TelemetrySnapshot, NO_PARENT,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Which routing policy the instance uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,13 +301,6 @@ struct ShardSlot {
     /// the query path records sub-attribute usage here lock-free with
     /// respect to the engine).
     attr_tracker: Arc<Mutex<AttrFrequencyTracker>>,
-    /// The shard's group-commit queue. Writers push their op group here,
-    /// then race for the engine lock: the winner (the *leader*) drains
-    /// the queue and applies everything pending under its single lock
-    /// acquisition; losers block on their group's completion cell. Under
-    /// hot-shard contention this converts lock waiting into batching —
-    /// exactly where Zipf skew concentrates load.
-    write_queue: Mutex<VecDeque<PendingGroup>>,
     /// Cumulative microseconds operations spent serving this shard —
     /// write-lock hold time plus lock-free query execution time — the
     /// per-shard busy counter surfaced through
@@ -325,7 +316,6 @@ impl ShardSlot {
             engine: RwLock::new(engine),
             snapshots,
             attr_tracker,
-            write_queue: Mutex::new(VecDeque::new()),
             busy_micros: AtomicU64::new(0),
         })
     }
@@ -351,70 +341,9 @@ pub struct BatchApplied {
     pub per_shard: Vec<(ShardId, usize)>,
 }
 
-/// One writer's submitted op group, parked in a shard's commit queue
-/// until a leader applies it.
-struct PendingGroup {
-    ops: Vec<WriteOp>,
-    /// `true` for batch groups (legacy `write_batch` semantics: the
-    /// first failing op stops its own shard's group); `false` for
-    /// single-op submissions, where every op is independent.
-    stop_on_error: bool,
-    done: Arc<GroupDone>,
-}
-
-/// Outcome of one submitted group, set exactly once by the leader that
-/// applied it and taken exactly once by the submitter.
-struct GroupOutcome {
-    /// Ops applied (translog append + memory) out of the group.
-    applied: usize,
-    /// The group's first error, if any op failed.
-    first_err: Option<EsdbError>,
-}
-
-/// Completion cell a submitter blocks on while some leader applies its
-/// group. Built on `std::sync` primitives (the waiters need a condvar);
-/// the wait loops on a short timeout so a submitter whose push raced
-/// past a finishing leader's final drain re-contends for the engine
-/// lock instead of sleeping forever.
-#[derive(Default)]
-struct GroupDone {
-    state: StdMutex<Option<GroupOutcome>>,
-    cv: Condvar,
-}
-
-/// How long a colliding writer sleeps before re-checking the engine
-/// lock. Long enough to let a leader drain a burst, short enough that
-/// the push-after-final-drain race costs microseconds, not a stall.
-const GROUP_WAIT: Duration = Duration::from_micros(100);
-
-impl GroupDone {
-    fn set(&self, out: GroupOutcome) {
-        *self.state.lock().expect("group cell poisoned") = Some(out);
-        self.cv.notify_all();
-    }
-
-    fn try_take(&self) -> Option<GroupOutcome> {
-        self.state.lock().expect("group cell poisoned").take()
-    }
-
-    /// Blocks until completion or the retry timeout; returns the outcome
-    /// if it arrived.
-    fn wait(&self) -> Option<GroupOutcome> {
-        let mut guard = self.state.lock().expect("group cell poisoned");
-        if let Some(out) = guard.take() {
-            return Some(out);
-        }
-        let (mut guard, _) = self
-            .cv
-            .wait_timeout(guard, GROUP_WAIT)
-            .expect("group cell poisoned");
-        guard.take()
-    }
-}
-
 /// Everything the shared (`&self`) write pipeline needs, held in one
 /// `Arc` so [`Esdb`] and every [`EsdbWriter`] clone drive the identical
-/// path: same shards and commit queues, same router and rules, same
+/// path: same shards and engine locks, same router and rules, same
 /// monitor/balancer, same atomic accounting.
 struct WriteState {
     shards: Vec<Arc<ShardSlot>>,
@@ -477,26 +406,17 @@ struct CoreTimers {
     write_total: Arc<Histogram>,
     batch_total: Arc<Histogram>,
     write_errors: Arc<Counter>,
-    /// Ops a leader applied per commit-queue drain — the group-commit
-    /// effectiveness signal (1 = no coalescing; grows with hot-shard
-    /// contention).
+    /// Ops applied per hold of a shard's engine lock (1 for a single
+    /// write, a batch's per-shard group size otherwise).
     group_size: Arc<Histogram>,
-    /// Single-op drains (the uncontended common case) accumulate here
-    /// with one relaxed add instead of a full histogram record; the
-    /// backlog is flushed into `group_size` as size-1 observations at
-    /// snapshot time, so the histogram's sum/count stay exact.
-    solo_drains: Arc<AtomicU64>,
-    /// Commit-queue drain latency (lock acquired → every taken group
-    /// applied and completed), per drain iteration.
+    /// Engine-lock hold time of one submission (lock acquired → ops
+    /// applied and accounted).
     drain_total: Arc<Histogram>,
-    /// Nanoseconds a contended submission blocked, from its first
-    /// failed engine-lock acquisition until it either won the lock
-    /// (leaders) or saw its group completed by another leader
-    /// (followers). Uncontended submissions record nothing — the fast
-    /// path stays free of per-op clock reads.
+    /// Nanoseconds a contended submission blocked on the engine lock,
+    /// from its failed `try_write` until it acquired the lock.
+    /// Uncontended submissions record nothing — the fast path stays
+    /// free of the extra clock read.
     lock_wait: Arc<Histogram>,
-    /// Per-shard commit-queue depth, sampled by `telemetry_snapshot`.
-    queue_depth: Vec<Arc<Gauge>>,
     block_queries: Arc<Counter>,
     scalar_queries: Arc<Counter>,
     blocks_scanned: Arc<Counter>,
@@ -505,7 +425,7 @@ struct CoreTimers {
 }
 
 impl CoreTimers {
-    fn new(registry: &MetricsRegistry, n_shards: u32) -> Self {
+    fn new(registry: &MetricsRegistry) -> Self {
         CoreTimers {
             query_total: registry.histogram("esdb_query_total_ns", Labels::none()),
             agg_total: registry.histogram("esdb_aggregate_total_ns", Labels::none()),
@@ -513,12 +433,8 @@ impl CoreTimers {
             batch_total: registry.histogram("esdb_write_batch_ns", Labels::none()),
             write_errors: registry.counter("esdb_write_errors_total", Labels::none()),
             group_size: registry.histogram("esdb_write_group_size", Labels::none()),
-            solo_drains: Arc::new(AtomicU64::new(0)),
             drain_total: registry.histogram("esdb_write_drain_ns", Labels::none()),
             lock_wait: registry.histogram("esdb_write_lock_wait_ns", Labels::none()),
-            queue_depth: (0..n_shards)
-                .map(|s| registry.gauge("esdb_write_queue_depth", Labels::shard(s)))
-                .collect(),
             block_queries: registry.counter("esdb_block_exec_queries_total", Labels::none()),
             scalar_queries: registry.counter("esdb_scalar_exec_queries_total", Labels::none()),
             blocks_scanned: registry
@@ -530,15 +446,17 @@ impl CoreTimers {
     }
 
     /// Charges one query's executor choice (and, on the block path, its
-    /// posting-block counters) to the registry.
-    fn record_exec_path(&self, used_blocks: bool, blocks: &esdb_index::BlockStats) {
-        if used_blocks {
-            self.block_queries.inc();
-            self.blocks_scanned.add(blocks.scanned);
-            self.blocks_skipped.add(blocks.skipped);
-            self.blocks_pruned.add(blocks.pruned);
-        } else {
-            self.scalar_queries.inc();
+    /// posting-block counters — `Some` iff blocks served it) to the
+    /// registry.
+    fn record_exec_path(&self, blocks: Option<&esdb_index::BlockStats>) {
+        match blocks {
+            Some(blocks) => {
+                self.block_queries.inc();
+                self.blocks_scanned.add(blocks.scanned);
+                self.blocks_skipped.add(blocks.skipped);
+                self.blocks_pruned.add(blocks.pruned);
+            }
+            None => self.scalar_queries.inc(),
         }
     }
 }
@@ -548,29 +466,16 @@ fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// An embedded ESDB database.
+/// An embedded ESDB database: lifecycle, maintenance and admin around
+/// one [`EsdbReader`] and one [`EsdbWriter`], which own the data plane.
 pub struct Esdb {
-    schema: CollectionSchema,
     config: EsdbConfig,
-    shards: Vec<Arc<ShardSlot>>,
-    /// Tier-1: per-segment posting lists of cacheable sub-plans
-    /// (`Arc` so [`EsdbReader`] handles share the same cache).
-    filter_cache: Arc<SegmentFilterCache>,
-    /// Tier-2: whole per-shard result sets, keyed by search generation.
-    request_cache: Arc<ShardedCache<RequestCacheKey, Arc<QueryRows>>>,
-    executor: Executor,
-    rules: Arc<RwLock<RuleList>>,
-    router: Arc<Router>,
-    /// The shared (`&self`) write pipeline — shards, commit queues,
-    /// monitor/balancer, atomic accounting — also held by every
-    /// [`EsdbWriter`] clone.
-    write: Arc<WriteState>,
-    clock: SharedClock,
-    queries_total: Arc<AtomicU64>,
-    block_queries_total: Arc<AtomicU64>,
-    scalar_queries_total: Arc<AtomicU64>,
-    telemetry: Arc<Telemetry>,
-    timers: Option<CoreTimers>,
+    /// The read state (shards, caches, router, counters). `reader()`
+    /// clones it; the `query`/`aggregate`/`get` methods forward to it.
+    reader: EsdbReader,
+    /// The write state (shards, rules, monitor/balancer, migrations,
+    /// accounting). `writer()` clones it; the write methods forward.
+    writer: EsdbWriter,
     /// Baseline for [`Esdb::take_stats`] delta snapshots.
     stats_base: EsdbStats,
 }
@@ -634,12 +539,16 @@ impl Esdb {
             balancer = balancer.with_journal(Arc::clone(telemetry.journal()));
         }
         let executor = Executor::new(config.parallelism);
-        let filter_cache = Arc::new(SegmentFilterCache::new(if config.query_cache_bytes == 0 {
-            AUTO_FILTER_BUDGET_FLOOR
-        } else {
-            config.query_cache_bytes
-        }));
-        let request_cache = Arc::new(ShardedCache::new(config.request_cache_entries.max(16)));
+        let filter_cache = config.filter_cache_enabled.then(|| {
+            Arc::new(SegmentFilterCache::new(if config.query_cache_bytes == 0 {
+                AUTO_FILTER_BUDGET_FLOOR
+            } else {
+                config.query_cache_bytes
+            }))
+        });
+        let request_cache = config
+            .request_cache_enabled
+            .then(|| Arc::new(ShardedCache::new(config.request_cache_entries.max(16))));
         // The monitor shares the telemetry registry, so the balancing
         // loop's inputs surface as `esdb_monitor_*` series for free.
         let monitor = Arc::new(WorkloadMonitor::with_registry(Arc::clone(
@@ -647,12 +556,12 @@ impl Esdb {
         )));
         let timers = telemetry
             .enabled()
-            .then(|| CoreTimers::new(telemetry.registry(), config.n_shards));
+            .then(|| CoreTimers::new(telemetry.registry()));
         let write = Arc::new(WriteState {
             shards: shards.clone(),
             n_shards: config.n_shards,
             router: Arc::clone(&router),
-            rules: Arc::clone(&rules),
+            rules,
             monitor,
             balancer: Mutex::new(balancer),
             clock: clock.clone(),
@@ -677,21 +586,28 @@ impl Esdb {
         for (tenant, offset, t_eff) in &replayed.pending_cutovers {
             complete_cutover_by_scan(&write, *tenant, *offset, *t_eff)?;
         }
-        let db = Esdb {
+        let reader = EsdbReader {
             schema,
+            n_shards: config.n_shards,
             shards,
+            migrations: Arc::clone(&write.migrations),
             filter_cache,
             request_cache,
-            executor,
-            rules,
+            executor: executor.clone(),
             router,
-            write,
             clock,
             queries_total: Arc::new(AtomicU64::new(0)),
             block_queries_total: Arc::new(AtomicU64::new(0)),
             scalar_queries_total: Arc::new(AtomicU64::new(0)),
             telemetry,
             timers,
+        };
+        let db = Esdb {
+            reader,
+            writer: EsdbWriter {
+                state: write,
+                executor,
+            },
             stats_base: EsdbStats::default(),
             config,
         };
@@ -703,30 +619,31 @@ impl Esdb {
 
     /// The collection schema.
     pub fn schema(&self) -> &CollectionSchema {
-        &self.schema
+        &self.reader.schema
     }
 
     /// The scatter-gather parallelism degree in effect.
     pub fn parallelism(&self) -> usize {
-        self.executor.parallelism()
+        self.reader.executor.parallelism()
     }
 
     /// Changes the scatter-gather parallelism degree at runtime (`1` =
     /// deterministic sequential, `0` = all available cores). Results are
     /// identical across degrees; only wall-clock time changes.
     pub fn set_parallelism(&mut self, degree: usize) {
-        self.executor = Executor::new(degree);
+        self.reader.executor = Executor::new(degree);
+        self.writer.executor = self.reader.executor.clone();
     }
 
     /// Inserts a document, returning the shard it was routed to.
     pub fn insert(&mut self, doc: Document) -> Result<ShardId> {
-        self.write(WriteOp::insert(doc))
+        self.writer.insert(doc)
     }
 
     /// Updates an existing record (routing triple must match the original
     /// creation time, §4.2).
     pub fn update(&mut self, doc: Document) -> Result<ShardId> {
-        self.write(WriteOp::update(doc))
+        self.writer.update(doc)
     }
 
     /// Deletes a record by routing triple.
@@ -736,39 +653,41 @@ impl Esdb {
         record: RecordId,
         created_at: TimestampMs,
     ) -> Result<ShardId> {
-        self.write(WriteOp::delete(tenant, record, created_at))
+        self.writer.delete(tenant, record, created_at)
     }
 
     /// Flushes a [`crate::WriteBatcher`]'s coalesced operations into the
-    /// database (the write-client workload-batching path, §3.1).
-    ///
-    /// Operations are routed first, grouped by destination shard, and
-    /// each group applied under a single acquisition of its shard's
-    /// lock — groups for different shards run concurrently on the
-    /// executor. Returns how many operations each shard received.
+    /// database (see [`EsdbWriter::write_batch`]).
     pub fn write_batch(&mut self, batcher: &mut crate::WriteBatcher) -> Result<BatchApplied> {
-        write_batch_shared(&self.write, &self.executor, batcher.flush())
+        self.writer.write_batch(batcher)
     }
 
     /// Applies a raw write operation.
     pub fn write(&mut self, op: WriteOp) -> Result<ShardId> {
-        write_one(&self.write, op)
+        self.writer.write(op)
     }
 
     /// Runs one balancing pass now (Algorithm 1 runtime phase): detect
     /// hotspots in the monitor window, commit grow-rules effective
     /// immediately for *future* records.
     pub fn rebalance(&mut self) -> usize {
-        self.write.writes_since_balance.store(0, Ordering::Release);
-        rebalance_pass(&self.write)
+        let ws = &self.writer.state;
+        ws.writes_since_balance.store(0, Ordering::Release);
+        rebalance_pass(ws)
+    }
+
+    /// Runs `f` on every shard's engine under its write lock, shards
+    /// concurrently on the executor; results in shard order.
+    fn each_engine<R: Send>(&self, f: impl Fn(&mut ShardEngine) -> R + Sync) -> Vec<R> {
+        self.writer
+            .executor
+            .map(&self.reader.shards, |_, slot| slot.with_write(&f))
     }
 
     /// Makes all buffered writes searchable (near-real-time refresh).
     /// Shards refresh concurrently on the executor.
     pub fn refresh(&mut self) {
-        self.executor.map(&self.shards, |_, slot| {
-            slot.with_write(|engine| engine.refresh());
-        });
+        self.each_engine(|engine| engine.refresh());
         self.sweep_caches();
     }
 
@@ -777,10 +696,7 @@ impl Esdb {
     /// order) is reported after every shard has completed its attempt.
     pub fn flush(&mut self) -> Result<()> {
         let result = self
-            .executor
-            .map(&self.shards, |_, slot| {
-                slot.with_write(|engine| engine.flush())
-            })
+            .each_engine(|engine| engine.flush())
             .into_iter()
             .collect();
         self.sweep_caches();
@@ -792,17 +708,14 @@ impl Esdb {
     /// tests race queries against this). Returns merges performed.
     pub fn force_merge(&mut self) -> usize {
         let merged: usize = self
-            .executor
-            .map(&self.shards, |_, slot| {
-                slot.with_write(|engine| {
-                    let ids: Vec<SegmentId> = engine.segments().iter().map(|s| s.id).collect();
-                    if ids.len() > 1 {
-                        engine.force_merge(&ids);
-                        1
-                    } else {
-                        0
-                    }
-                })
+            .each_engine(|engine| {
+                let ids: Vec<SegmentId> = engine.segments().iter().map(|s| s.id).collect();
+                if ids.len() > 1 {
+                    engine.force_merge(&ids);
+                    1
+                } else {
+                    0
+                }
             })
             .into_iter()
             .sum();
@@ -814,10 +727,7 @@ impl Esdb {
     /// performed.
     pub fn merge(&mut self) -> usize {
         let merged = self
-            .executor
-            .map(&self.shards, |_, slot| {
-                slot.with_write(|engine| engine.maybe_merge())
-            })
+            .each_engine(|engine| engine.maybe_merge())
             .into_iter()
             .flatten()
             .count();
@@ -832,10 +742,11 @@ impl Esdb {
     /// correctness never depends on it (stale keys are unreachable by
     /// construction), it just returns their memory.
     fn sweep_caches(&self) {
-        let mut gens: Vec<u64> = Vec::with_capacity(self.shards.len());
-        let mut live: Vec<FastSet<SegmentId>> = Vec::with_capacity(self.shards.len());
+        let rd = &self.reader;
+        let mut gens: Vec<u64> = Vec::with_capacity(rd.shards.len());
+        let mut live: Vec<FastSet<SegmentId>> = Vec::with_capacity(rd.shards.len());
         let mut shard_bytes = 0usize;
-        for slot in &self.shards {
+        for slot in &rd.shards {
             // The published snapshot *is* the state the caches are keyed
             // by (queries key entries off pinned views), so the sweep
             // reads it directly — no engine lock.
@@ -848,17 +759,20 @@ impl Esdb {
             }
             live.push(ids);
         }
-        let entries_before = self
-            .telemetry
-            .enabled()
-            .then(|| self.request_cache.stats().entries + self.filter_cache.stats().entries);
-        self.request_cache
-            .retain(|k| gens.get(k.0 as usize).is_some_and(|&g| g == k.1));
-        self.filter_cache
-            .retain(|k| live.get(k.0 as usize).is_some_and(|ids| ids.contains(&k.1)));
+        let cached_entries = || {
+            let (filter, request) = rd.cache_stats();
+            filter.entries + request.entries
+        };
+        let entries_before = rd.telemetry.enabled().then(cached_entries);
+        if let Some(rc) = &rd.request_cache {
+            rc.retain(|k| gens.get(k.0 as usize).is_some_and(|&g| g == k.1));
+        }
+        if let Some(fc) = &rd.filter_cache {
+            fc.retain(|k| live.get(k.0 as usize).is_some_and(|ids| ids.contains(&k.1)));
+        }
         if let Some(before) = entries_before {
-            let entries = self.request_cache.stats().entries + self.filter_cache.stats().entries;
-            self.telemetry.emit(
+            let entries = cached_entries();
+            rd.telemetry.emit(
                 EventKind::CacheSweep {
                     evicted: before.saturating_sub(entries),
                     entries,
@@ -867,154 +781,79 @@ impl Esdb {
                 NO_PARENT,
             );
         }
-        if self.config.query_cache_bytes == 0 {
-            self.filter_cache
-                .set_budget(auto_filter_budget(shard_bytes));
+        if let (Some(fc), 0) = (&rd.filter_cache, self.config.query_cache_bytes) {
+            fc.set_budget(auto_filter_budget(shard_bytes));
         }
     }
 
-    /// Executes a SQL query (parse → Xdriver4ES translate → route to the
-    /// tenant's shard span → optimize → execute → aggregate).
-    ///
-    /// The read path is lock-free: each shard of the fan-out pins the
-    /// shard's published snapshot once and executes entirely against it —
-    /// the per-shard engine lock is never taken, so concurrent
-    /// maintenance (refresh, merge, flush) neither blocks nor is blocked
-    /// by queries.
+    /// Executes a SQL query (see [`EsdbReader::query`]).
     pub fn query(&self, sql: &str) -> Result<QueryRows> {
-        self.query_opts(sql, QueryOptions::default())
+        self.reader.query(sql)
     }
 
-    /// Executes SQL with explicit options (the Fig. 17 harness turns the
-    /// optimizer off through this; benches pin the executor by toggling
-    /// `block_execution`).
+    /// Executes SQL with explicit options (see
+    /// [`EsdbReader::query_opts`]).
     pub fn query_opts(&self, sql: &str, opts: QueryOptions) -> Result<QueryRows> {
-        run_query(&self.read_path(), sql, opts)
+        self.reader.query_opts(sql, opts)
     }
 
-    /// Executes an aggregate SQL query (`SELECT COUNT(*)/SUM/AVG/MIN/MAX
-    /// ... [GROUP BY col]`). Pushdown-eligible plans compute mergeable
-    /// per-shard partials straight from columnar doc values — no stored
-    /// payload is ever materialized ([`AggResult::payload_reads`] stays
-    /// 0); other plans fall back to materializing matching rows and
-    /// aggregating them at the coordinator with the scalar reference
-    /// semantics. Both paths produce identical rows.
+    /// Executes an aggregate SQL query (see [`EsdbReader::aggregate`]).
     pub fn aggregate(&self, sql: &str) -> Result<AggResult> {
-        self.aggregate_opts(sql, QueryOptions::default())
+        self.reader.aggregate(sql)
     }
 
-    /// Executes an aggregate query with explicit options
-    /// (`block_execution: false` forces the scalar fallback — the oracle
-    /// the block path is gated against).
+    /// Executes an aggregate query with explicit options (see
+    /// [`EsdbReader::aggregate_opts`]).
     pub fn aggregate_opts(&self, sql: &str, opts: QueryOptions) -> Result<AggResult> {
-        run_agg_query(&self.read_path(), sql, opts)
+        self.reader.aggregate_opts(sql, opts)
     }
 
-    /// Point lookup by routing triple against the routed shard's pinned
-    /// snapshot (lock-free; sees data as of the last refresh, like a
-    /// query).
+    /// Point lookup by routing triple (see [`EsdbReader::get`]).
     pub fn get(
         &self,
         tenant: TenantId,
         record: RecordId,
         created_at: TimestampMs,
     ) -> Option<Document> {
-        let shard = self.router.route(tenant, record, created_at);
-        self.shards[shard.index()]
-            .snapshots
-            .pin()
-            .get_record(record.raw())
-            .cloned()
+        self.reader.get(tenant, record, created_at)
     }
 
-    /// Pins the current published snapshot of one shard. The returned
-    /// view answers identically forever, no matter what the engine does
-    /// afterwards.
+    /// Pins the current published snapshot of one shard (see
+    /// [`EsdbReader::pin_snapshot`]).
     pub fn pin_snapshot(&self, shard: ShardId) -> Arc<ShardSnapshot> {
-        self.shards[shard.index()].snapshots.pin()
+        self.reader.pin_snapshot(shard)
     }
 
-    /// A clone-able read handle sharing this instance's shards, caches,
-    /// router, and telemetry. Readers query concurrently from other
-    /// threads while this instance keeps writing — see [`EsdbReader`].
+    /// A clone of the instance's read handle: same shards, caches,
+    /// router, counters and telemetry. Readers query concurrently from
+    /// other threads while this instance keeps writing — see
+    /// [`EsdbReader`].
     pub fn reader(&self) -> EsdbReader {
-        EsdbReader {
-            schema: self.schema.clone(),
-            n_shards: self.config.n_shards,
-            shards: self.shards.clone(),
-            migrations: Arc::clone(&self.write.migrations),
-            filter_cache: self
-                .config
-                .filter_cache_enabled
-                .then(|| Arc::clone(&self.filter_cache)),
-            request_cache: self
-                .config
-                .request_cache_enabled
-                .then(|| Arc::clone(&self.request_cache)),
-            executor: self.executor.clone(),
-            router: Arc::clone(&self.router),
-            clock: self.clock.clone(),
-            queries_total: Arc::clone(&self.queries_total),
-            block_queries_total: Arc::clone(&self.block_queries_total),
-            scalar_queries_total: Arc::clone(&self.scalar_queries_total),
-            telemetry: Arc::clone(&self.telemetry),
-            timers: self.timers.clone(),
-        }
+        self.reader.clone()
     }
 
-    /// A clone-able write handle sharing this instance's shards, commit
-    /// queues, router, workload monitor, and telemetry. Writer clones
-    /// ingest concurrently from other threads — different shards in
-    /// parallel, same-shard collisions coalesced through the per-shard
-    /// group-commit queue — while this instance (and any [`EsdbReader`])
-    /// keeps operating. See [`EsdbWriter`].
+    /// A clone of the instance's write handle: same shards, router,
+    /// workload monitor, accounting and telemetry. Writer clones ingest
+    /// concurrently from other threads while this instance (and any
+    /// [`EsdbReader`]) keeps operating — see [`EsdbWriter`].
     pub fn writer(&self) -> EsdbWriter {
-        EsdbWriter {
-            state: Arc::clone(&self.write),
-            executor: self.executor.clone(),
-        }
-    }
-
-    /// The borrowed bundle [`run_query`] executes against.
-    fn read_path(&self) -> ReadPath<'_> {
-        ReadPath {
-            schema: &self.schema,
-            n_shards: self.config.n_shards,
-            shards: &self.shards,
-            migrations: self.write.migrations.as_ref(),
-            filter_cache: self
-                .config
-                .filter_cache_enabled
-                .then_some(self.filter_cache.as_ref()),
-            request_cache: self
-                .config
-                .request_cache_enabled
-                .then_some(self.request_cache.as_ref()),
-            executor: &self.executor,
-            router: &self.router,
-            clock: &self.clock,
-            queries_total: &self.queries_total,
-            block_queries_total: &self.block_queries_total,
-            scalar_queries_total: &self.scalar_queries_total,
-            telemetry: &self.telemetry,
-            timers: self.timers.as_ref(),
-        }
+        self.writer.clone()
     }
 
     /// The read span for a tenant right now.
     pub fn read_span(&self, tenant: TenantId) -> ShardSpan {
-        self.router.span(tenant, self.clock.now())
+        self.reader.router.span(tenant, self.reader.clock.now())
     }
 
     /// Snapshot of committed rules (for inspection).
     pub fn rule_count(&self) -> usize {
-        self.rules.read().len()
+        self.writer.state.rules.read().len()
     }
 
     /// Clone of the committed rule list, in insertion order (the
     /// server's `/admin/rules` endpoint renders this).
     pub fn rules_snapshot(&self) -> Vec<SecondaryHashingRule> {
-        self.rules.read().rules().to_vec()
+        self.writer.state.rules.read().rules().to_vec()
     }
 
     /// Live migration state, one entry per tenant whose span ever grew
@@ -1022,14 +861,14 @@ impl Esdb {
     /// renders this). Terminal entries stay until the tenant migrates
     /// again.
     pub fn migrations_snapshot(&self) -> Vec<MigrationStatus> {
-        self.write.migrations.statuses()
+        self.writer.state.migrations.statuses()
     }
 
     /// Advances every live migration one lifecycle phase (commit-wait →
     /// handoff → drain → cutover). Normally driven by balancer epochs;
     /// exposed for deterministic stepping in tests and operations.
     pub fn step_migrations(&mut self) {
-        step_migrations(&self.write);
+        step_migrations(&self.writer.state);
     }
 
     /// Drives every live migration to completion — or to a blocked
@@ -1042,18 +881,18 @@ impl Esdb {
                 .filter(|s| s.phase == MigrationPhase::Done)
                 .count()
         };
-        let before = done(&self.write.migrations.statuses());
+        let before = done(&self.writer.state.migrations.statuses());
         loop {
-            let snapshot = self.write.migrations.statuses();
+            let snapshot = self.writer.state.migrations.statuses();
             if !snapshot.iter().any(|s| s.phase.is_active()) {
                 break;
             }
-            step_migrations(&self.write);
-            if self.write.migrations.statuses() == snapshot {
+            step_migrations(&self.writer.state);
+            if self.writer.state.migrations.statuses() == snapshot {
                 break;
             }
         }
-        done(&self.write.migrations.statuses()) - before
+        done(&self.writer.state.migrations.statuses()) - before
     }
 
     /// Aborts every live migration: staged plans and tails are dropped,
@@ -1061,9 +900,10 @@ impl Esdb {
     /// shrink); unmoved rows remain readable at their old placement.
     /// Returns how many migrations were aborted.
     pub fn abort_migrations(&mut self) -> usize {
-        let _step = self.write.migrations.step_lock.lock();
+        let _step = self.writer.state.migrations.step_lock.lock();
         let tenants: Vec<TenantId> = self
-            .write
+            .writer
+            .state
             .migrations
             .entries()
             .iter()
@@ -1071,26 +911,28 @@ impl Esdb {
             .map(|e| e.tenant)
             .collect();
         for t in &tenants {
-            abort_migration(&self.write, *t);
+            abort_migration(&self.writer.state, *t);
         }
         tenants.len()
     }
 
     /// Aggregated statistics.
     pub fn stats(&self) -> EsdbStats {
+        let rd = &self.reader;
+        let (filter_cache, request_cache) = rd.cache_stats();
         let mut s = EsdbStats {
             rules: self.rule_count(),
-            writes: self.write.writes_total.load(Ordering::Relaxed),
-            write_errors: self.write.write_errors_total.load(Ordering::Relaxed),
-            queries: self.queries_total.load(Ordering::Relaxed),
-            block_queries: self.block_queries_total.load(Ordering::Relaxed),
-            scalar_queries: self.scalar_queries_total.load(Ordering::Relaxed),
-            parallelism: self.executor.parallelism(),
-            filter_cache: self.filter_cache.stats(),
-            request_cache: self.request_cache.stats(),
+            writes: self.writer.state.writes_total.load(Ordering::Relaxed),
+            write_errors: self.writer.state.write_errors_total.load(Ordering::Relaxed),
+            queries: rd.queries_total.load(Ordering::Relaxed),
+            block_queries: rd.block_queries_total.load(Ordering::Relaxed),
+            scalar_queries: rd.scalar_queries_total.load(Ordering::Relaxed),
+            parallelism: rd.executor.parallelism(),
+            filter_cache,
+            request_cache,
             ..EsdbStats::default()
         };
-        for slot in &self.shards {
+        for slot in &rd.shards {
             let st = slot.engine.read().stats();
             s.live_docs += st.live_docs;
             s.buffered_docs += st.buffered_docs;
@@ -1131,14 +973,14 @@ impl Esdb {
 
     /// The shared telemetry facade (registry, slow-query log, config).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        &self.reader.telemetry
     }
 
     /// The workload monitor feeding the balancer. The network front-end
     /// shares this as its skew signal, so admission control sheds the
     /// same hot tenants the balancer would grow shard spans for.
     pub fn workload_monitor(&self) -> Arc<WorkloadMonitor> {
-        Arc::clone(&self.write.monitor)
+        Arc::clone(&self.writer.state.monitor)
     }
 
     /// The clock this instance runs on. Components layered on top (the
@@ -1146,18 +988,17 @@ impl Esdb {
     /// [`esdb_common::ManualClock`] drives engine and admission
     /// decisions in lockstep.
     pub fn clock(&self) -> SharedClock {
-        self.clock.clone()
+        self.reader.clock.clone()
     }
 
     /// Current slow-query log contents, oldest first.
     pub fn slow_queries(&self) -> Vec<SlowQueryEntry> {
-        self.telemetry.slow_queries()
+        self.reader.telemetry.slow_queries()
     }
 
-    /// Current slow-write (group-commit drain) log contents, oldest
-    /// first.
+    /// Current slow-write log contents, oldest first.
     pub fn slow_writes(&self) -> Vec<SlowWriteEntry> {
-        self.telemetry.slow_writes()
+        self.reader.telemetry.slow_writes()
     }
 
     /// One-call postmortem artifact: serializes the refreshed metrics
@@ -1165,9 +1006,9 @@ impl Esdb {
     /// configuration, and the committed rule list into a single JSON
     /// document (`bundle.to_json()`).
     pub fn debug_bundle(&self) -> DebugBundle {
-        let mut bundle = DebugBundle::from_telemetry(&self.telemetry, 512);
+        let mut bundle = DebugBundle::from_telemetry(&self.reader.telemetry, 512);
         // Replace the raw snapshot with the instance-refreshed one so
-        // cache/rule/queue gauges are current.
+        // cache/rule gauges are current.
         bundle.metrics = self.telemetry_snapshot();
         let c = &self.config;
         bundle.config = vec![
@@ -1220,7 +1061,7 @@ impl Esdb {
             ),
         ];
         bundle.rules = {
-            let rules = self.rules.read();
+            let rules = self.writer.state.rules.read();
             let mut out = String::from("[");
             for (i, r) in rules.rules().iter().enumerate() {
                 if i > 0 {
@@ -1246,18 +1087,17 @@ impl Esdb {
     /// rules, per-shard busy time — are refreshed into the registry
     /// first, so the snapshot is self-contained.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        if self.telemetry.enabled() {
-            let registry = self.telemetry.registry();
+        let rd = &self.reader;
+        if rd.telemetry.enabled() {
+            let registry = rd.telemetry.registry();
             registry
                 .gauge("esdb_rules_active", Labels::none())
                 .set(self.rule_count() as i64);
             registry
                 .gauge("esdb_migrations_active", Labels::none())
-                .set(self.write.migrations.active_count() as i64);
-            for (tier, s) in [
-                ("filter", self.filter_cache.stats()),
-                ("request", self.request_cache.stats()),
-            ] {
+                .set(self.writer.state.migrations.active_count() as i64);
+            let (filter, request) = rd.cache_stats();
+            for (tier, s) in [("filter", filter), ("request", request)] {
                 let labels = Labels::stage(tier);
                 registry.gauge("esdb_cache_hits", labels).set(s.hits as i64);
                 registry
@@ -1273,333 +1113,124 @@ impl Esdb {
                     .gauge("esdb_cache_weight", labels)
                     .set(s.bytes as i64);
             }
-            for (i, slot) in self.shards.iter().enumerate() {
+            for (i, slot) in rd.shards.iter().enumerate() {
                 registry
                     .gauge("esdb_shard_busy_micros", Labels::shard(i as u32))
                     .set(slot.busy_micros.load(Ordering::Relaxed) as i64);
             }
-            // The write hot path avoids per-op telemetry work: commit-
-            // queue depths are sampled here rather than on every
-            // enqueue, and single-op drains accumulate in a plain
-            // counter that is flushed into the group-size histogram now,
-            // keeping its sum/count exact at snapshot granularity.
-            if let Some(t) = &self.timers {
-                for (i, slot) in self.shards.iter().enumerate() {
-                    t.queue_depth[i].set(slot.write_queue.lock().len() as i64);
-                }
-                let solo = t.solo_drains.swap(0, Ordering::Relaxed);
-                if solo > 0 {
-                    t.group_size.record_n(1, solo);
-                }
-            }
             // Share of queries the block-at-a-time executor served, as a
             // percentage (gauges are integral).
-            let block = self.block_queries_total.load(Ordering::Relaxed);
-            let scalar = self.scalar_queries_total.load(Ordering::Relaxed);
+            let block = rd.block_queries_total.load(Ordering::Relaxed);
+            let scalar = rd.scalar_queries_total.load(Ordering::Relaxed);
             let total = block + scalar;
             registry
                 .gauge("esdb_block_exec_hit_ratio_percent", Labels::none())
                 .set((block * 100).checked_div(total).unwrap_or(0) as i64);
         }
-        self.telemetry.snapshot()
+        rd.telemetry.snapshot()
     }
 
     /// Per-shard live-doc counts (for balance inspection).
     pub fn shard_doc_counts(&self) -> Vec<usize> {
-        self.shards
+        self.reader
+            .shards
             .iter()
             .map(|slot| slot.engine.read().stats().live_docs)
             .collect()
     }
 }
 
-/// Applies one write operation through the shared pipeline: route,
-/// submit a one-op group to the shard's commit queue, surface the
-/// per-op error exactly as the legacy exclusive path did. The single-op
-/// twin of [`write_batch_shared`] — same grouped apply, same
-/// monitor/stats accounting (both live in [`drain_write_queue`]).
-fn write_one(ws: &WriteState, op: WriteOp) -> Result<ShardId> {
-    let t0 = ws.timers.as_ref().map(|_| Instant::now());
-    let (tenant, record, created_at) = op.routing();
-    // The permit covers route → apply, so a migration cutover switching
-    // placements can barrier until no write is between the two. It must
-    // be released before the rebalance hook: the claiming writer may
-    // run the cutover itself, and the barrier waits on permits.
-    let permit = ws.migrations.begin_write();
-    let shard = ws.router.route(tenant, record, created_at);
-    let out = submit_group(ws, shard, vec![op], false, 0);
-    drop(permit);
-    if let Some(e) = out.first_err {
-        return Err(e);
-    }
-    if let (Some(t), Some(t0)) = (&ws.timers, t0) {
-        t.write_total.record(elapsed_ns(t0));
-    }
-    maybe_rebalance_shared(ws);
-    Ok(shard)
-}
-
-/// Routes a flushed batch into per-shard groups and submits each group
-/// through the shared pipeline — groups for different shards run
-/// concurrently on the executor, each colliding with (and coalescing
-/// into) whatever other writers are hitting its shard.
-fn write_batch_shared(
-    ws: &WriteState,
-    executor: &Executor,
-    ops: Vec<WriteOp>,
-) -> Result<BatchApplied> {
-    let t0 = ws.timers.as_ref().map(|_| Instant::now());
-    // Same tail-capture split as the query path: every batch buffers a
-    // span tree when tail capture is on; only head-sampled batches feed
-    // the per-stage histograms.
-    let (capture, sampled) = ws.telemetry.trace_decision();
-    let trace = capture.then(QueryTrace::new);
-    // Route every op up front into a pre-sized bucket table indexed by
-    // shard — O(ops) assembly no matter how many shards are hit.
-    // Grouping preserves arrival order within each shard, which is all
-    // replay semantics require (cross-shard order carries no meaning
-    // once routed).
-    let mut buckets: Vec<Vec<WriteOp>> = Vec::new();
-    buckets.resize_with(ws.n_shards as usize, Vec::new);
-    // One permit for the whole batch: routing below and application on
-    // the executor both happen under it, so no op of the batch can
-    // straddle a migration cutover's placement switch. Released before
-    // the rebalance hook (the barrier waits on permits).
-    let permit = ws.migrations.begin_write();
-    {
-        let _span = trace.as_ref().map(|t| t.span("batch_group", 0));
-        for op in ops {
-            let (tenant, record, created_at) = op.routing();
-            let shard = ws.router.route(tenant, record, created_at);
-            buckets[shard.index()].push(op);
-        }
-    }
-    // `Executor::map` hands the closure `&T`, but each group must be
-    // *moved* into its submission; a take-cell per group bridges the
-    // gap. Bucket order keeps `per_shard` ascending by shard.
-    let groups: Vec<(ShardId, Mutex<Option<Vec<WriteOp>>>)> = buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, ops)| !ops.is_empty())
-        .map(|(s, ops)| (ShardId(s as u32), Mutex::new(Some(ops))))
-        .collect();
-    let trace_ref = trace.as_ref();
-    let trace_id = trace_ref.map_or(0, QueryTrace::trace_id);
-    // Each group applies as far as it can; a failing op stops its own
-    // shard's group but other shards still land and are accounted.
-    let outcomes: Vec<GroupOutcome> = executor.map(&groups, |_, (shard, cell)| {
-        let _span = trace_ref.map(|t| t.span_for_shard("apply", 0, Some(shard.0)));
-        let ops = cell.lock().take().expect("each group is submitted once");
-        submit_group(ws, *shard, ops, true, trace_id)
-    });
-    drop(permit);
-    let mut applied = BatchApplied::default();
-    let mut first_err = None;
-    for ((shard, _), out) in groups.iter().zip(outcomes) {
-        applied.total += out.applied;
-        applied.per_shard.push((*shard, out.applied));
-        if first_err.is_none() {
-            first_err = out.first_err;
-        }
-    }
-    if let (Some(t), Some(t0)) = (&ws.timers, t0) {
-        t.batch_total.record(elapsed_ns(t0));
-    }
-    if let Some(trace) = trace {
-        if sampled {
-            ws.telemetry
-                .record_stages("esdb_write_stage_ns", &trace.into_samples());
-        }
-    }
-    maybe_rebalance_shared(ws);
-    // The first error (by shard order) surfaces only after every
-    // group's outcome has been counted — no silent partial batches.
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(applied),
-    }
-}
-
-/// Submits one op group to `shard`'s commit queue and drives it to
-/// completion. The submitter parks its group, then loops: outcome
-/// ready → done; engine lock free → become the leader and drain the
-/// queue (its own group included); otherwise block briefly on the
-/// completion cell and re-check. The timeout covers the race where a
-/// push lands just after a finishing leader's final drain — the waiter
-/// wakes and wins the now-free lock instead of sleeping forever.
-fn submit_group(
+/// Applies `ops` to `shard` under one hold of its engine lock (one
+/// translog append batch) and does the full monitor/stats/tail-capture
+/// accounting before releasing it. `stop_on_error` is the batch
+/// semantics: the first failing op stops the group; single-op
+/// submissions pass `false`. Returns how many ops applied and the first
+/// error, if any.
+fn apply_to_shard(
     ws: &WriteState,
     shard: ShardId,
-    ops: Vec<WriteOp>,
+    ops: &[WriteOp],
     stop_on_error: bool,
     trace_id: u64,
-) -> GroupOutcome {
+) -> (usize, Option<EsdbError>) {
     let slot = &ws.shards[shard.index()];
-    let done = Arc::new(GroupDone::default());
-    {
-        let mut q = slot.write_queue.lock();
-        q.push_back(PendingGroup {
-            ops,
-            stop_on_error,
-            done: Arc::clone(&done),
-        });
-    }
-    let mut wait_t0: Option<Instant> = None;
-    loop {
-        if let Some(out) = done.try_take() {
-            record_lock_wait(ws, &mut wait_t0);
-            return out;
-        }
-        if let Some(mut engine) = slot.engine.try_write() {
-            let waited_ns = record_lock_wait(ws, &mut wait_t0);
-            let t0 = Instant::now();
-            drain_write_queue(ws, shard, &mut engine, waited_ns, trace_id);
-            slot.busy_micros
-                .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-            drop(engine);
-            // Our group was either still parked (we just applied it) or
-            // a previous leader — which held the lock until it completed
-            // every group it took — already set the cell.
-            return done.try_take().expect("leader drained its own group");
-        }
-        // First failed acquisition: the submission is contended, start
-        // the wait clock. Uncontended submissions never read the clock,
-        // keeping the telemetry-on fast path free of per-op timing.
-        if wait_t0.is_none() {
-            wait_t0 = ws.timers.as_ref().map(|_| Instant::now());
-        }
-        if let Some(out) = done.wait() {
-            record_lock_wait(ws, &mut wait_t0);
-            return out;
-        }
-    }
-}
-
-/// Charges a contended submission's block-to-resolution wait to the
-/// lock-wait histogram, at most once (`take` empties the cell). Returns
-/// the recorded wait in nanoseconds (0 when uncontended), so a leader
-/// can stamp its drain's journal event and slow-write entry with it.
-fn record_lock_wait(ws: &WriteState, wait_t0: &mut Option<Instant>) -> u64 {
-    if let (Some(t), Some(t0)) = (&ws.timers, wait_t0.take()) {
-        let ns = elapsed_ns(t0);
-        t.lock_wait.record(ns);
-        ns
-    } else {
-        0
-    }
-}
-
-/// Drains `shard`'s commit queue under the caller's engine-lock hold:
-/// applies every parked group (one translog append batch per group),
-/// does the full monitor/stats accounting, and completes each
-/// submitter's cell. Loops until the queue is observed empty, so every
-/// writer that parked behind this leader is served by the same lock
-/// acquisition — hot-shard contention becomes batching.
-fn drain_write_queue(
-    ws: &WriteState,
-    shard: ShardId,
-    engine: &mut ShardEngine,
-    leader_wait_ns: u64,
-    trace_id: u64,
-) {
-    let slot = &ws.shards[shard.index()];
-    loop {
-        let groups: Vec<PendingGroup> = slot.write_queue.lock().drain(..).collect();
-        if groups.is_empty() {
-            return;
-        }
-        let n_groups = groups.len() as u32;
-        let total: u64 = groups.iter().map(|g| g.ops.len() as u64).sum();
-        let drain_t0 = ws.timers.as_ref().map(|_| Instant::now());
-        if let Some(t) = &ws.timers {
-            if total == 1 {
-                // Uncontended single-op drain: one relaxed add; flushed
-                // into the histogram lazily by `telemetry_snapshot`.
-                t.solo_drains.fetch_add(1, Ordering::Relaxed);
-            } else {
-                t.group_size.record(total);
+    let mut lock_wait_ns = 0;
+    let mut engine = match slot.engine.try_write() {
+        Some(engine) => engine,
+        None => {
+            // Contended: only now start the wait clock, so uncontended
+            // submissions never pay for it.
+            let wait_t0 = ws.timers.as_ref().map(|_| Instant::now());
+            let engine = slot.engine.write();
+            if let (Some(t), Some(t0)) = (&ws.timers, wait_t0) {
+                lock_wait_ns = elapsed_ns(t0);
+                t.lock_wait.record(lock_wait_ns);
             }
+            engine
         }
-        let mut translog_bytes = 0u64;
-        for group in groups {
-            let results = engine.apply_group(&group.ops, group.stop_on_error);
-            let mut applied = 0usize;
-            let mut first_err = None;
-            // Only the ops that actually applied count toward the
-            // monitor and the write totals; a stopped group's
-            // unattempted tail counts toward neither total.
-            for (op, r) in group.ops.iter().zip(results) {
-                match r {
-                    Ok(()) => {
-                        applied += 1;
-                        let (tenant, _, _) = op.routing();
-                        let bytes = op.doc.approx_size() as u64;
-                        translog_bytes += bytes;
-                        // Migration tail capture, at the op's success
-                        // point: while a handoff is in flight, pre-rule
-                        // ops that just landed at an old placement are
-                        // recorded (with the shard they hit) so cutover
-                        // can re-route them. One atomic load when no
-                        // migration is active.
-                        if ws.migrations.any_active() {
-                            ws.migrations.capture(op, shard.0);
-                        }
-                        ws.monitor.record_write(
-                            tenant,
-                            shard,
-                            NodeId(shard.0 % ws.node_count),
-                            bytes,
-                        );
-                    }
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
+    };
+    let t0 = Instant::now();
+    let results = engine.apply_group(ops, stop_on_error);
+    let mut applied = 0usize;
+    let mut first_err = None;
+    let mut translog_bytes = 0u64;
+    // Only the ops that actually applied count toward the monitor and
+    // the write totals; a stopped group's unattempted tail counts
+    // toward neither total.
+    for (op, r) in ops.iter().zip(results) {
+        match r {
+            Ok(()) => {
+                applied += 1;
+                let (tenant, _, _) = op.routing();
+                let bytes = op.doc.approx_size() as u64;
+                translog_bytes += bytes;
+                // Migration tail capture, at the op's success point and
+                // still under the engine lock (capture order = apply
+                // order): while a handoff is in flight, pre-rule ops
+                // that just landed at an old placement are recorded
+                // (with the shard they hit) so cutover can re-route
+                // them. One atomic load when no migration is active.
+                if ws.migrations.any_active() {
+                    ws.migrations.capture(op, shard.0);
+                }
+                ws.monitor
+                    .record_write(tenant, shard, NodeId(shard.0 % ws.node_count), bytes);
+            }
+            Err(e) => {
+                if first_err.is_none() {
+                    first_err = Some(e);
                 }
             }
-            ws.writes_total.fetch_add(applied as u64, Ordering::Relaxed);
-            ws.writes_since_balance
-                .fetch_add(applied as u64, Ordering::Relaxed);
-            if first_err.is_some() {
-                ws.write_errors_total.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &ws.timers {
-                    t.write_errors.inc();
-                }
-            }
-            group.done.set(GroupOutcome { applied, first_err });
-        }
-        if let (Some(t), Some(t0)) = (&ws.timers, drain_t0) {
-            let drain_ns = elapsed_ns(t0);
-            t.drain_total.record(drain_ns);
-            // Contended drains (more than one op coalesced) are the
-            // interesting group-commit signal; solo drains stay off the
-            // journal so the uncontended fast path adds no lock work.
-            if total > 1 {
-                ws.telemetry.emit(
-                    EventKind::GroupCommitDrain {
-                        shard: shard.0,
-                        groups: n_groups,
-                        ops: total as u32,
-                        lock_wait_ns: leader_wait_ns,
-                    },
-                    Labels::shard(shard.0),
-                    NO_PARENT,
-                );
-            }
-            if drain_ns >= ws.telemetry.slow_write_threshold_ns() {
-                ws.telemetry.log_slow_write(SlowWriteEntry {
-                    trace_id,
-                    shard: shard.0,
-                    group_size: n_groups,
-                    ops: total as u32,
-                    lock_wait_ns: leader_wait_ns,
-                    translog_bytes,
-                    total_ns: drain_ns,
-                });
-            }
         }
     }
+    ws.writes_total.fetch_add(applied as u64, Ordering::Relaxed);
+    ws.writes_since_balance
+        .fetch_add(applied as u64, Ordering::Relaxed);
+    if first_err.is_some() {
+        ws.write_errors_total.fetch_add(1, Ordering::Relaxed);
+    }
+    drop(engine);
+    let held_ns = elapsed_ns(t0);
+    slot.busy_micros
+        .fetch_add(held_ns / 1_000, Ordering::Relaxed);
+    if let Some(t) = &ws.timers {
+        t.group_size.record(ops.len() as u64);
+        t.drain_total.record(held_ns);
+        if first_err.is_some() {
+            t.write_errors.inc();
+        }
+        if held_ns >= ws.telemetry.slow_write_threshold_ns() {
+            ws.telemetry.log_slow_write(SlowWriteEntry {
+                trace_id,
+                shard: shard.0,
+                ops: ops.len() as u32,
+                lock_wait_ns,
+                translog_bytes,
+                total_ns: held_ns,
+            });
+        }
+    }
+    (applied, first_err)
 }
 
 /// Claims a balancing epoch if one is due: the writer whose
@@ -2212,22 +1843,23 @@ fn abort_migration(ws: &WriteState, tenant: TenantId) {
     }
 }
 
-/// A clone-able write handle over a shared [`Esdb`] instance — the
-/// write-side twin of [`EsdbReader`].
+/// A clone-able write handle over a live [`Esdb`] instance — the
+/// write-side twin of [`EsdbReader`], and the instance's one write
+/// state: [`Esdb::writer`] clones it and [`Esdb::write`] and friends
+/// forward to it.
 ///
-/// Every clone shares the same shards, per-shard commit queues,
-/// router/rules, workload monitor, and atomic write accounting via
-/// `Arc`, so N threads ingest concurrently through `&self` methods.
-/// Writers routed to different shards proceed fully in parallel;
-/// writers colliding on the same hot shard park their groups in that
-/// shard's commit queue, and whichever writer holds the engine lock
-/// applies everything pending under the one acquisition — one translog
-/// append batch and one monitor/stats pass per group, so Zipf-skewed
-/// contention degrades into batching instead of a lock convoy.
+/// Every clone shares the same shards, router/rules, workload monitor,
+/// and atomic write accounting via `Arc`, so N threads ingest
+/// concurrently through `&self` methods. Writers routed to different
+/// shards proceed fully in parallel; writers colliding on the same shard
+/// take turns on its engine lock, each applying its own ops (one
+/// translog append batch, one monitor/stats pass) per hold. A hot
+/// tenant is relieved by spreading it over more shards (dynamic
+/// secondary hashing) and by batching in the write client
+/// ([`crate::WriteBatcher`], §3.1), not by the lock.
 ///
-/// Error surfacing, chaos `WriteFault` injection, and write accounting
-/// behave identically to [`Esdb::write`]/[`Esdb::write_batch`] — both
-/// drive the same shared pipeline.
+/// Errors — chaos `WriteFault` injection included — surface to the
+/// caller and are counted in [`EsdbStats::write_errors`].
 #[derive(Clone)]
 pub struct EsdbWriter {
     state: Arc<WriteState>,
@@ -2256,444 +1888,132 @@ impl EsdbWriter {
         self.write(WriteOp::delete(tenant, record, created_at))
     }
 
-    /// Applies a raw write operation.
+    /// Applies a raw write operation: route, apply under the shard's
+    /// engine lock, surface the op's error. The single-op twin of
+    /// [`EsdbWriter::write_batch`] — same apply, same monitor/stats
+    /// accounting (both live in [`apply_to_shard`]).
     pub fn write(&self, op: WriteOp) -> Result<ShardId> {
-        write_one(&self.state, op)
+        let ws = &*self.state;
+        let t0 = ws.timers.as_ref().map(|_| Instant::now());
+        let (tenant, record, created_at) = op.routing();
+        // The permit covers route → apply, so a migration cutover switching
+        // placements can barrier until no write is between the two. It must
+        // be released before the rebalance hook: the claiming writer may
+        // run the cutover itself, and the barrier waits on permits.
+        let permit = ws.migrations.begin_write();
+        let shard = ws.router.route(tenant, record, created_at);
+        let (_, first_err) = apply_to_shard(ws, shard, std::slice::from_ref(&op), false, 0);
+        drop(permit);
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        if let (Some(t), Some(t0)) = (&ws.timers, t0) {
+            t.write_total.record(elapsed_ns(t0));
+        }
+        maybe_rebalance_shared(ws);
+        Ok(shard)
     }
 
-    /// Flushes a [`crate::WriteBatcher`]'s coalesced operations through
-    /// the shared pipeline (see [`Esdb::write_batch`]).
+    /// Flushes a [`crate::WriteBatcher`]'s coalesced operations into the
+    /// database (the write-client workload-batching path, §3.1).
+    ///
+    /// Operations are routed first, grouped by destination shard, and
+    /// each group applied under a single acquisition of its shard's
+    /// lock — groups for different shards run concurrently on the
+    /// executor. Returns how many operations each shard received.
     pub fn write_batch(&self, batcher: &mut crate::WriteBatcher) -> Result<BatchApplied> {
-        write_batch_shared(&self.state, &self.executor, batcher.flush())
-    }
-}
-
-/// Borrowed view of everything the scatter-gather read path needs,
-/// shared by [`Esdb`] and [`EsdbReader`] so both execute byte-identical
-/// queries.
-struct ReadPath<'a> {
-    schema: &'a CollectionSchema,
-    n_shards: u32,
-    shards: &'a [Arc<ShardSlot>],
-    migrations: &'a MigrationTable,
-    filter_cache: Option<&'a SegmentFilterCache>,
-    request_cache: Option<&'a ShardedCache<RequestCacheKey, Arc<QueryRows>>>,
-    executor: &'a Executor,
-    router: &'a Router,
-    clock: &'a SharedClock,
-    queries_total: &'a AtomicU64,
-    block_queries_total: &'a AtomicU64,
-    scalar_queries_total: &'a AtomicU64,
-    telemetry: &'a Telemetry,
-    timers: Option<&'a CoreTimers>,
-}
-
-impl ReadPath<'_> {
-    /// Counts one query against the executor that served it, in both the
-    /// instance stats and (when telemetry is on) the metrics registry.
-    fn count_exec_path(&self, used_blocks: bool, blocks: &esdb_index::BlockStats) {
-        if used_blocks {
-            self.block_queries_total.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.scalar_queries_total.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(t) = self.timers {
-            t.record_exec_path(used_blocks, blocks);
-        }
-    }
-}
-
-/// The scatter-gather query pipeline (parse → translate → route → plan →
-/// per-shard snapshot execution → gather), lock-free end to end: each
-/// shard pins its published snapshot once and never touches the engine
-/// lock.
-fn run_query(rp: &ReadPath<'_>, sql: &str, opts: QueryOptions) -> Result<QueryRows> {
-    let query = translate(parse_sql(sql)?);
-    if query.table != rp.schema.name {
-        return Err(EsdbError::UnknownCollection(query.table));
-    }
-    if query.is_aggregate() {
-        return Err(EsdbError::Plan(
-            "aggregate select lists run through aggregate(), not query()".into(),
-        ));
-    }
-    rp.queries_total.fetch_add(1, Ordering::Relaxed);
-    let t0 = rp.timers.map(|_| Instant::now());
-    // Tail-based capture: head-sampled queries feed the per-stage
-    // histograms; with tail capture on, *every* query buffers its span
-    // tree so a slow one keeps the full trace even when unsampled.
-    let (capture, sampled) = rp.telemetry.trace_decision();
-    let trace = capture.then(QueryTrace::new);
-    // Record sub-attribute usage for frequency-based indexing (shared
-    // tracker — no engine lock).
-    record_attr_usage(&query.filter, rp.shards);
-    // Migration fence: the span is read here, the snapshots are pinned
-    // later — a cutover between the two could hide rows mid-move. The
-    // attempt retries whenever the migration version moves underneath
-    // it (bumped on cutover entry AND exit, so any overlap is seen).
-    let (merged, plan, fp, use_blocks, fanout) = loop {
-        rp.migrations.wait_read_stable();
-        let mv0 = rp.migrations.version();
-        // Route: the tenant's span when the filter pins `tenant_id`,
-        // otherwise every shard. The route and plan stages share clock
-        // reads at their boundary and land in one batched push.
-        let t_route = trace.as_ref().map(QueryTrace::now_ns);
-        let span = match extract_tenant(&query.filter) {
-            Some(tenant) => rp.router.span(tenant, rp.clock.now()),
-            None => ShardSpan::new(0, rp.n_shards, rp.n_shards),
-        };
-        // Plan once per query: plans depend only on the filter and the
-        // schema, so every shard of the fan-out shares one plan (and one
-        // fingerprint annotation).
-        let t_plan = trace.as_ref().map(QueryTrace::now_ns);
-        let plan = if opts.use_optimizer {
-            optimize(&query.filter, rp.schema)
-        } else {
-            naive_plan(&query.filter)
-        };
-        if let (Some(t), Some(r0), Some(p0)) = (trace.as_ref(), t_route, t_plan) {
-            let end = t.now_ns();
-            t.record_span_batch(&[
-                ("route", 0, None, r0, p0.saturating_sub(r0)),
-                ("plan", 0, None, p0, end.saturating_sub(p0)),
-            ]);
-        }
-        let prepared = PreparedPlan::new(&plan);
-        let fp = query_fingerprint(&plan, &query);
-        // Executor choice is made once per query, from the plan shape alone:
-        // the block path runs whenever it is enabled and every residual
-        // predicate is a flat comparison (no nested booleans). Both
-        // executors are row-identical by construction — the scalar one stays
-        // the always-available equivalence oracle.
-        let use_blocks = opts.block_execution && block_eligible(&plan);
-        // Scatter: each shard in the span pins its published snapshot and
-        // executes independently. The executor returns results in span
-        // order, so the gather below is deterministic for any parallelism
-        // degree.
-        let span_shards: Vec<ShardId> = span.iter().collect();
-        let query = &query;
-        let prepared = &prepared;
-        let trace_ref = trace.as_ref();
-        let shard_results: Vec<QueryRows> = rp.executor.map(&span_shards, |_, shard| {
-            let slot = &rp.shards[shard.index()];
-            let t_busy = Instant::now();
-            // Pin once. This is the read path's only synchronization: two
-            // ref-count bumps under a sub-microsecond cell lock. Planning,
-            // cache probes, posting intersection, and row materialization
-            // below all run against the immutable view.
-            let snap = slot.snapshots.pin();
-            // Tier 2: the whole per-shard result. The generation is read
-            // out of the *pinned* snapshot, so key and data always travel
-            // together — a concurrent refresh between pin and probe cannot
-            // pair the new generation with the old segments (or vice
-            // versa).
-            let key: RequestCacheKey = (shard.0, snap.search_generation(), fp);
-            let hit = rp.request_cache.and_then(|rc| rc.get(&key));
-            // The probe/execute boundary is the one per-shard instant the
-            // busy-accounting reads can't supply. Head-sampled traces pay
-            // the extra clock read for the fine-grained `cache_probe` stage
-            // (it feeds the per-stage histograms); capture-only traces keep
-            // the coarse tree — every stage a slow query needs — for free.
-            let t_probe = trace_ref.filter(|_| sampled).map(QueryTrace::now_ns);
-            let rows = match hit {
-                Some(hit) => (*hit).clone(),
-                None => {
-                    // Tier 1: per-segment posting lists of cacheable
-                    // sub-plans (namespaced by shard — segment ids repeat
-                    // across shards).
-                    let ctx = rp.filter_cache.map(|cache| FilterCacheContext {
-                        cache,
-                        shard: shard.0,
-                    });
-                    let rows = if use_blocks {
-                        execute_prepared_blocks_on_snapshot(
-                            query,
-                            prepared,
-                            snap.as_ref(),
-                            ctx.as_ref(),
-                        )
-                    } else {
-                        execute_prepared_on_snapshot(query, prepared, snap.as_ref(), ctx.as_ref())
-                    };
-                    if let Some(rc) = rp.request_cache {
-                        rc.insert(key, Arc::new(rows.clone()), 1);
-                    }
-                    rows
-                }
-            };
-            // Every shard of the fan-out reports an execute sample — cache
-            // hits and empty result sets included — so a gather over k
-            // shards always sees exactly k samples and per-shard timing
-            // never has holes. Block set operations report their own wall
-            // time as a stage, so slow-query traces show where skip-pruning
-            // spent (or saved) it. Span boundaries reuse the busy-accounting
-            // clock reads (plus one mid read at the probe boundary) and all
-            // of this shard's samples land in a single batched push, so tail
-            // capture adds one clock read per shard, not one per stage.
-            let t_end = Instant::now();
-            if let Some(t) = trace_ref {
-                let s0 = t.offset_of(t_busy);
-                let end = t.offset_of(t_end);
-                let sh = Some(shard.0);
-                let mut batch = [("", 0, sh, 0, 0); 3];
-                let mut n = 0;
-                if let Some(probe_end) = t_probe {
-                    batch[n] = ("cache_probe", 0, sh, s0, probe_end.saturating_sub(s0));
-                    n += 1;
-                }
-                if use_blocks {
-                    let prune = rows.block_prune_ns;
-                    batch[n] = ("block_prune", 0, sh, end.saturating_sub(prune), prune);
-                    n += 1;
-                }
-                batch[n] = ("execute", 0, sh, s0, end.saturating_sub(s0));
-                n += 1;
-                t.record_span_batch(&batch[..n]);
+        let ws = &*self.state;
+        let ops = batcher.flush();
+        let t0 = ws.timers.as_ref().map(|_| Instant::now());
+        // Same tail-capture split as the query path: every batch buffers a
+        // span tree when tail capture is on; only head-sampled batches feed
+        // the per-stage histograms.
+        let (capture, sampled) = ws.telemetry.trace_decision();
+        let trace = capture.then(QueryTrace::new);
+        // Route every op up front into a pre-sized bucket table indexed by
+        // shard — O(ops) assembly no matter how many shards are hit.
+        // Grouping preserves arrival order within each shard, which is all
+        // replay semantics require (cross-shard order carries no meaning
+        // once routed).
+        let mut buckets: Vec<Vec<WriteOp>> = Vec::new();
+        buckets.resize_with(ws.n_shards as usize, Vec::new);
+        // One permit for the whole batch: routing below and application on
+        // the executor both happen under it, so no op of the batch can
+        // straddle a migration cutover's placement switch. Released before
+        // the rebalance hook (the barrier waits on permits).
+        let permit = ws.migrations.begin_write();
+        {
+            let _span = trace.as_ref().map(|t| t.span("batch_group", 0));
+            for op in ops {
+                let (tenant, record, created_at) = op.routing();
+                let shard = ws.router.route(tenant, record, created_at);
+                buckets[shard.index()].push(op);
             }
-            // Lock-free execution still serves this shard's data, so the
-            // time is charged to its busy counter explicitly.
-            slot.busy_micros.fetch_add(
-                t_end.duration_since(t_busy).as_micros() as u64,
-                Ordering::Relaxed,
-            );
-            rows
+        }
+        // Bucket order keeps `per_shard` ascending by shard.
+        let groups: Vec<(ShardId, Vec<WriteOp>)> = buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, ops)| !ops.is_empty())
+            .map(|(s, ops)| (ShardId(s as u32), ops))
+            .collect();
+        let trace_ref = trace.as_ref();
+        let trace_id = trace_ref.map_or(0, QueryTrace::trace_id);
+        // Each group applies as far as it can; a failing op stops its own
+        // shard's group but other shards still land and are accounted.
+        let outcomes = self.executor.map(&groups, |_, (shard, ops)| {
+            let _span = trace_ref.map(|t| t.span_for_shard("apply", 0, Some(shard.0)));
+            apply_to_shard(ws, *shard, ops, true, trace_id)
         });
-        let merged = {
-            let _span = trace_ref.map(|t| t.span("gather", 0));
-            merge_results(shard_results, query.order_by.as_ref(), query.limit)
-        };
-        if rp.migrations.version() == mv0 {
-            break (merged, plan, fp, use_blocks, span_shards.len() as u32);
+        drop(permit);
+        let mut applied = BatchApplied::default();
+        let mut first_err = None;
+        for ((shard, _), (n, err)) in groups.iter().zip(outcomes) {
+            applied.total += n;
+            applied.per_shard.push((*shard, n));
+            if first_err.is_none() {
+                first_err = err;
+            }
         }
-    };
-    rp.count_exec_path(use_blocks, &merged.blocks);
-    let total_ns = t0.map(elapsed_ns);
-    if let (Some(t), Some(ns)) = (rp.timers, total_ns) {
-        t.query_total.record(ns);
-    }
-    let trace_id = trace.as_ref().map_or(0, QueryTrace::trace_id);
-    let samples = trace.map(QueryTrace::into_samples);
-    // Histogram feeding keeps the 1-in-N head-sampling volume; the
-    // buffered span tree of an unsampled query exists only to ride
-    // along with a slow-log entry (or be dropped for free).
-    if sampled {
-        if let Some(samples) = &samples {
-            rp.telemetry.record_stages("esdb_query_stage_ns", samples);
+        if let (Some(t), Some(t0)) = (&ws.timers, t0) {
+            t.batch_total.record(elapsed_ns(t0));
         }
-    }
-    // Slow-query detection is always on when telemetry is enabled;
-    // under tail capture the span tree is always populated.
-    if let Some(ns) = total_ns {
-        if ns >= rp.telemetry.slow_threshold_ns() {
-            rp.telemetry.log_slow(SlowQueryEntry {
-                trace_id,
-                sql: sql.to_string(),
-                plan: plan.to_string(),
-                fingerprint: fp,
-                tenant: extract_tenant(&query.filter).map(|t| t.0),
-                fanout,
-                total_ns: ns,
-                stages: samples.unwrap_or_default(),
-            });
+        if let Some(trace) = trace {
+            if sampled {
+                ws.telemetry
+                    .record_stages("esdb_write_stage_ns", &trace.into_samples());
+            }
+        }
+        maybe_rebalance_shared(ws);
+        // The first error (by shard order) surfaces only after every
+        // group's outcome has been counted — no silent partial batches.
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(applied),
         }
     }
-    Ok(merged)
 }
 
-/// The scatter-gather aggregate pipeline. Eligible plans push the
-/// aggregation below row materialization: every shard computes mergeable
-/// [`AggPartials`] straight from columnar doc values against its pinned
-/// snapshot, and the coordinator merges them in span order (keeping
-/// MIN/MAX tie-breaking deterministic) before finishing. Ineligible
-/// plans — block execution off, nested-boolean residuals, or an
-/// aggregate over a column without doc values — fall back to
-/// materializing matching rows per shard and aggregating once at the
-/// coordinator with the scalar reference semantics. Both paths produce
-/// identical rows; only `payload_reads` differs (0 under pushdown).
-fn run_agg_query(rp: &ReadPath<'_>, sql: &str, opts: QueryOptions) -> Result<AggResult> {
-    let query = translate(parse_sql(sql)?);
-    if query.table != rp.schema.name {
-        return Err(EsdbError::UnknownCollection(query.table));
-    }
-    if !query.is_aggregate() {
-        return Err(EsdbError::Plan(
-            "aggregate() requires an aggregate select list (COUNT/SUM/AVG/MIN/MAX)".into(),
-        ));
-    }
-    rp.queries_total.fetch_add(1, Ordering::Relaxed);
-    let t0 = rp.timers.map(|_| Instant::now());
-    let (capture, sampled) = rp.telemetry.trace_decision();
-    let trace = capture.then(QueryTrace::new);
-    record_attr_usage(&query.filter, rp.shards);
-    // Same migration fence + retry as `run_query`.
-    let (result, plan, fp, pushdown, fanout) = loop {
-        rp.migrations.wait_read_stable();
-        let mv0 = rp.migrations.version();
-        let t_route = trace.as_ref().map(QueryTrace::now_ns);
-        let span = match extract_tenant(&query.filter) {
-            Some(tenant) => rp.router.span(tenant, rp.clock.now()),
-            None => ShardSpan::new(0, rp.n_shards, rp.n_shards),
-        };
-        let t_plan = trace.as_ref().map(QueryTrace::now_ns);
-        let plan = if opts.use_optimizer {
-            optimize(&query.filter, rp.schema)
-        } else {
-            naive_plan(&query.filter)
-        };
-        if let (Some(t), Some(r0), Some(p0)) = (trace.as_ref(), t_route, t_plan) {
-            let end = t.now_ns();
-            t.record_span_batch(&[
-                ("route", 0, None, r0, p0.saturating_sub(r0)),
-                ("plan", 0, None, p0, end.saturating_sub(p0)),
-            ]);
-        }
-        let prepared = PreparedPlan::new(&plan);
-        let fp = query_fingerprint(&plan, &query);
-        let pushdown = opts.block_execution
-            && block_eligible(&plan)
-            && aggregate_pushdown_eligible(&query, rp.schema);
-        let span_shards: Vec<ShardId> = span.iter().collect();
-        let prepared = &prepared;
-        let trace_ref = trace.as_ref();
-        let result = if pushdown {
-            let query_ref = &query;
-            let partials: Vec<AggPartials> = rp.executor.map(&span_shards, |_, shard| {
-                let slot = &rp.shards[shard.index()];
-                let t_busy = Instant::now();
-                let snap = slot.snapshots.pin();
-                let ctx = rp.filter_cache.map(|cache| FilterCacheContext {
-                    cache,
-                    shard: shard.0,
-                });
-                let part = aggregate_prepared_blocks_on_snapshot(
-                    query_ref,
-                    prepared,
-                    snap.as_ref(),
-                    ctx.as_ref(),
-                );
-                // Span boundaries reuse the busy-accounting clock reads:
-                // tail capture costs this closure zero extra `now` calls.
-                let t_end = Instant::now();
-                if let Some(t) = trace_ref {
-                    let s0 = t.offset_of(t_busy);
-                    let end = t.offset_of(t_end);
-                    let sh = Some(shard.0);
-                    let prune = part.block_prune_ns;
-                    t.record_span_batch(&[
-                        ("block_prune", 0, sh, end.saturating_sub(prune), prune),
-                        ("execute", 0, sh, s0, end.saturating_sub(s0)),
-                    ]);
-                }
-                slot.busy_micros.fetch_add(
-                    t_end.duration_since(t_busy).as_micros() as u64,
-                    Ordering::Relaxed,
-                );
-                part
-            });
-            let _span = trace_ref.map(|t| t.span("gather", 0));
-            let mut merged = AggPartials::default();
-            for p in partials {
-                merged.merge(p);
-            }
-            merged.finish(&query.aggregates, query.group_by.is_some())
-        } else {
-            // The scalar fallback strips the aggregate clauses off the query
-            // and materializes every matching row — ORDER BY/LIMIT don't
-            // apply below an aggregate, so shards return their full match
-            // sets and one reference aggregation runs over the gather.
-            let row_query = Query {
-                aggregates: Vec::new(),
-                group_by: None,
-                projection: Vec::new(),
-                order_by: None,
-                limit: None,
-                ..query.clone()
-            };
-            let row_query = &row_query;
-            let shard_rows: Vec<QueryRows> = rp.executor.map(&span_shards, |_, shard| {
-                let slot = &rp.shards[shard.index()];
-                let t_busy = Instant::now();
-                let snap = slot.snapshots.pin();
-                let ctx = rp.filter_cache.map(|cache| FilterCacheContext {
-                    cache,
-                    shard: shard.0,
-                });
-                let rows =
-                    execute_prepared_on_snapshot(row_query, prepared, snap.as_ref(), ctx.as_ref());
-                let t_end = Instant::now();
-                if let Some(t) = trace_ref {
-                    let s0 = t.offset_of(t_busy);
-                    let end = t.offset_of(t_end);
-                    t.record_span("execute", 0, Some(shard.0), s0, end.saturating_sub(s0));
-                }
-                slot.busy_micros.fetch_add(
-                    t_end.duration_since(t_busy).as_micros() as u64,
-                    Ordering::Relaxed,
-                );
-                rows
-            });
-            let _span = trace_ref.map(|t| t.span("gather", 0));
-            let mut docs = Vec::new();
-            let mut out = AggResult::default();
-            for rows in shard_rows {
-                out.postings_scanned += rows.postings_scanned;
-                out.docs_scanned += rows.docs_scanned;
-                docs.extend(rows.docs);
-            }
-            out.payload_reads = docs.len() as u64;
-            out.rows = aggregate_rows(&docs, &query.aggregates, query.group_by.as_deref());
-            out
-        };
-        if rp.migrations.version() == mv0 {
-            break (result, plan, fp, pushdown, span_shards.len() as u32);
-        }
-    };
-    rp.count_exec_path(pushdown, &result.blocks);
-    let total_ns = t0.map(elapsed_ns);
-    if let (Some(t), Some(ns)) = (rp.timers, total_ns) {
-        t.agg_total.record(ns);
-    }
-    let trace_id = trace.as_ref().map_or(0, QueryTrace::trace_id);
-    let samples = trace.map(QueryTrace::into_samples);
-    if sampled {
-        if let Some(samples) = &samples {
-            rp.telemetry.record_stages("esdb_query_stage_ns", samples);
-        }
-    }
-    if let Some(ns) = total_ns {
-        if ns >= rp.telemetry.slow_threshold_ns() {
-            rp.telemetry.log_slow(SlowQueryEntry {
-                trace_id,
-                sql: sql.to_string(),
-                plan: plan.to_string(),
-                fingerprint: fp,
-                tenant: extract_tenant(&query.filter).map(|t| t.0),
-                fanout,
-                total_ns: ns,
-                stages: samples.unwrap_or_default(),
-            });
-        }
-    }
-    Ok(result)
-}
-
-/// A clone-able, thread-safe read handle over a live [`Esdb`] instance.
+/// A clone-able, thread-safe read handle over a live [`Esdb`] instance:
+/// the instance's one read state. [`Esdb::reader`] clones it and
+/// [`Esdb::query`] and friends forward to it, so every read — through
+/// the instance or through a handle on another thread — runs the same
+/// pipeline against the same pinned snapshots, cache tiers, routing
+/// rules and telemetry, and never waits on a shard engine lock.
 ///
-/// Readers execute the exact same pipeline as [`Esdb::query`] — pinned
-/// snapshots, both cache tiers, routing rules, telemetry — without
-/// borrowing the instance: a writer thread keeps `&mut Esdb` while any
-/// number of reader threads query through their own handles, and
-/// neither side ever waits on a shard engine lock.
-///
-/// The handle captures the cache-enable flags and parallelism degree at
-/// creation; routing rules and published snapshots are shared live.
+/// A clone captures the parallelism degree at creation; routing rules
+/// and published snapshots are shared live.
 #[derive(Clone)]
 pub struct EsdbReader {
     schema: CollectionSchema,
     n_shards: u32,
     shards: Vec<Arc<ShardSlot>>,
     migrations: Arc<MigrationTable>,
+    /// Tier-1: per-segment posting lists of cacheable sub-plans
+    /// (`None` when disabled by config).
     filter_cache: Option<Arc<SegmentFilterCache>>,
+    /// Tier-2: whole per-shard result sets, keyed by search generation
+    /// (`None` when disabled by config).
     request_cache: Option<Arc<ShardedCache<RequestCacheKey, Arc<QueryRows>>>>,
     executor: Executor,
     router: Arc<Router>,
@@ -2706,29 +2026,47 @@ pub struct EsdbReader {
 }
 
 impl EsdbReader {
-    /// Executes a SQL query against the shards' published snapshots
-    /// (identical semantics to [`Esdb::query`]).
+    /// Executes a SQL query (parse → Xdriver4ES translate → route to the
+    /// tenant's shard span → optimize → execute → gather).
+    ///
+    /// The read path is lock-free: each shard of the fan-out pins the
+    /// shard's published snapshot once and executes entirely against it —
+    /// the per-shard engine lock is never taken, so concurrent
+    /// maintenance (refresh, merge, flush) neither blocks nor is blocked
+    /// by queries.
     pub fn query(&self, sql: &str) -> Result<QueryRows> {
         self.query_opts(sql, QueryOptions::default())
     }
 
-    /// Executes SQL with explicit options.
+    /// Executes SQL with explicit options (the Fig. 17 harness turns the
+    /// optimizer off through this; benches pin the executor by toggling
+    /// `block_execution`).
     pub fn query_opts(&self, sql: &str, opts: QueryOptions) -> Result<QueryRows> {
-        run_query(&self.read_path(), sql, opts)
+        run_read(self, sql, opts, false, run_query)
     }
 
-    /// Executes an aggregate SQL query (identical semantics to
-    /// [`Esdb::aggregate`]).
+    /// Executes an aggregate SQL query (`SELECT COUNT(*)/SUM/AVG/MIN/MAX
+    /// ... [GROUP BY col]`). Pushdown-eligible plans compute mergeable
+    /// per-shard partials straight from columnar doc values — no stored
+    /// payload is ever materialized ([`AggResult::payload_reads`] stays
+    /// 0); other plans fall back to materializing matching rows and
+    /// aggregating them at the coordinator with the scalar reference
+    /// semantics. Both paths produce identical rows.
     pub fn aggregate(&self, sql: &str) -> Result<AggResult> {
         self.aggregate_opts(sql, QueryOptions::default())
     }
 
-    /// Executes an aggregate query with explicit options.
+    /// Executes an aggregate query with explicit options
+    /// (`block_execution: false` forces the scalar fallback — the oracle
+    /// the block path is gated against).
     pub fn aggregate_opts(&self, sql: &str, opts: QueryOptions) -> Result<AggResult> {
-        run_agg_query(&self.read_path(), sql, opts)
+        run_read(self, sql, opts, true, run_agg_query)
     }
 
-    /// Point lookup by routing triple (see [`Esdb::get`]).
+    /// Point lookup by routing triple against the routed shard's pinned
+    /// snapshot (lock-free; sees data as of the last refresh, like a
+    /// query). Fenced like a query: waits out a migration cutover and
+    /// retries if the routing version moved between route and pin.
     pub fn get(
         &self,
         tenant: TenantId,
@@ -2750,8 +2088,9 @@ impl EsdbReader {
         }
     }
 
-    /// Pins the current published snapshot of one shard (see
-    /// [`Esdb::pin_snapshot`]).
+    /// Pins the current published snapshot of one shard. The returned
+    /// view answers identically forever, no matter what the engine does
+    /// afterwards.
     pub fn pin_snapshot(&self, shard: ShardId) -> Arc<ShardSnapshot> {
         self.shards[shard.index()].snapshots.pin()
     }
@@ -2761,24 +2100,333 @@ impl EsdbReader {
         &self.schema
     }
 
-    fn read_path(&self) -> ReadPath<'_> {
-        ReadPath {
-            schema: &self.schema,
-            n_shards: self.n_shards,
-            shards: &self.shards,
-            migrations: self.migrations.as_ref(),
-            filter_cache: self.filter_cache.as_deref(),
-            request_cache: self.request_cache.as_deref(),
-            executor: &self.executor,
-            router: &self.router,
-            clock: &self.clock,
-            queries_total: &self.queries_total,
-            block_queries_total: &self.block_queries_total,
-            scalar_queries_total: &self.scalar_queries_total,
-            telemetry: &self.telemetry,
-            timers: self.timers.as_ref(),
+    /// `(filter, request)` cache counters; all zero for a disabled tier.
+    fn cache_stats(&self) -> (CacheStats, CacheStats) {
+        (
+            self.filter_cache
+                .as_ref()
+                .map_or_else(CacheStats::default, |c| c.stats()),
+            self.request_cache
+                .as_ref()
+                .map_or_else(CacheStats::default, |c| c.stats()),
+        )
+    }
+}
+
+/// One attempt of a read inside the migration fence: the routed span,
+/// the shared plan, and the trace, handed to the shard bodies of
+/// [`run_query`] / [`run_agg_query`].
+struct Scatter<'a> {
+    rd: &'a EsdbReader,
+    query: &'a Query,
+    opts: QueryOptions,
+    plan: &'a Plan,
+    prepared: &'a PreparedPlan<'a>,
+    fp: u128,
+    shards: &'a [ShardId],
+    trace: Option<&'a QueryTrace>,
+    /// Head-sampled (feeds the per-stage histograms), as opposed to
+    /// captured only for the slow log.
+    sampled: bool,
+}
+
+impl Scatter<'_> {
+    /// Runs `body` once per shard of the span on the executor, results
+    /// in span order (so gathers are deterministic for any parallelism
+    /// degree). Around the body: pin the shard's published snapshot —
+    /// the read path's only synchronization, two ref-count bumps under a
+    /// sub-microsecond cell lock — build the tier-1 filter-cache context
+    /// (namespaced by shard: segment ids repeat across shards), charge
+    /// the lock-free execution time to the shard's busy counter, and
+    /// push the shard's spans in one batch. Span boundaries reuse the
+    /// busy-accounting clock reads, so tail capture costs one mutex
+    /// round-trip and no extra `now` call per shard.
+    ///
+    /// Every shard reports an `execute` sample — cache hits and empty
+    /// result sets included — so a gather over k shards always sees
+    /// exactly k samples. The body returns, besides its result, the
+    /// trace offset at which its request-cache probe ended (a
+    /// `cache_probe` span) and the block set operations' own wall time
+    /// (a `block_prune` span), each when it has one.
+    fn per_shard<T: Send>(
+        &self,
+        body: impl Fn(
+                ShardId,
+                &ShardSnapshot,
+                Option<&FilterCacheContext<'_>>,
+            ) -> (T, Option<u64>, Option<u64>)
+            + Sync,
+    ) -> Vec<T> {
+        let rd = self.rd;
+        rd.executor.map(self.shards, |_, shard| {
+            let slot = &rd.shards[shard.index()];
+            let t_busy = Instant::now();
+            let snap = slot.snapshots.pin();
+            let ctx = rd.filter_cache.as_deref().map(|cache| FilterCacheContext {
+                cache,
+                shard: shard.0,
+            });
+            let (out, probe_end, prune_ns) = body(*shard, snap.as_ref(), ctx.as_ref());
+            let t_end = Instant::now();
+            if let Some(t) = self.trace {
+                let s0 = t.offset_of(t_busy);
+                let end = t.offset_of(t_end);
+                let sh = Some(shard.0);
+                let mut batch = [("", 0, sh, 0, 0); 3];
+                let mut n = 0;
+                if let Some(probe_end) = probe_end {
+                    batch[n] = ("cache_probe", 0, sh, s0, probe_end.saturating_sub(s0));
+                    n += 1;
+                }
+                if let Some(prune) = prune_ns {
+                    batch[n] = ("block_prune", 0, sh, end.saturating_sub(prune), prune);
+                    n += 1;
+                }
+                batch[n] = ("execute", 0, sh, s0, end.saturating_sub(s0));
+                t.record_span_batch(&batch[..=n]);
+            }
+            slot.busy_micros.fetch_add(
+                t_end.duration_since(t_busy).as_micros() as u64,
+                Ordering::Relaxed,
+            );
+            out
+        })
+    }
+}
+
+/// The frame every read shares (parse → translate → shape check → route
+/// → plan → scatter → gather), lock-free end to end. `body` is the part
+/// that differs between row queries and aggregates: it scatters over the
+/// span, gathers, and reports the block counters iff the block executor
+/// served the read.
+fn run_read<R>(
+    rd: &EsdbReader,
+    sql: &str,
+    opts: QueryOptions,
+    aggregate: bool,
+    body: impl Fn(&Scatter<'_>) -> (R, Option<esdb_index::BlockStats>),
+) -> Result<R> {
+    let query = translate(parse_sql(sql)?);
+    if query.table != rd.schema.name {
+        return Err(EsdbError::UnknownCollection(query.table));
+    }
+    if query.is_aggregate() != aggregate {
+        return Err(EsdbError::Plan(
+            if aggregate {
+                "aggregate() requires an aggregate select list (COUNT/SUM/AVG/MIN/MAX)"
+            } else {
+                "aggregate select lists run through aggregate(), not query()"
+            }
+            .into(),
+        ));
+    }
+    rd.queries_total.fetch_add(1, Ordering::Relaxed);
+    let t0 = rd.timers.as_ref().map(|_| Instant::now());
+    // Tail-based capture: head-sampled reads feed the per-stage
+    // histograms; with tail capture on, *every* read buffers its span
+    // tree so a slow one keeps the full trace even when unsampled.
+    let (capture, sampled) = rd.telemetry.trace_decision();
+    let trace = capture.then(QueryTrace::new);
+    // Record sub-attribute usage for frequency-based indexing (shared
+    // tracker — no engine lock).
+    record_attr_usage(&query.filter, &rd.shards);
+    // Migration fence: the span is read here, the snapshots are pinned
+    // later — a cutover between the two could hide rows mid-move. The
+    // attempt retries whenever the migration version moves underneath
+    // it (bumped on cutover entry AND exit, so any overlap is seen).
+    let (result, blocks, plan, fp, fanout) = loop {
+        rd.migrations.wait_read_stable();
+        let mv0 = rd.migrations.version();
+        // Route: the tenant's span when the filter pins `tenant_id`,
+        // otherwise every shard. The route and plan stages share clock
+        // reads at their boundary and land in one batched push.
+        let t_route = trace.as_ref().map(QueryTrace::now_ns);
+        let span = match extract_tenant(&query.filter) {
+            Some(tenant) => rd.router.span(tenant, rd.clock.now()),
+            None => ShardSpan::new(0, rd.n_shards, rd.n_shards),
+        };
+        // Plan once per read: plans depend only on the filter and the
+        // schema, so every shard of the fan-out shares one plan (and one
+        // fingerprint annotation).
+        let t_plan = trace.as_ref().map(QueryTrace::now_ns);
+        let plan = if opts.use_optimizer {
+            optimize(&query.filter, &rd.schema)
+        } else {
+            naive_plan(&query.filter)
+        };
+        if let (Some(t), Some(r0), Some(p0)) = (trace.as_ref(), t_route, t_plan) {
+            let end = t.now_ns();
+            t.record_span_batch(&[
+                ("route", 0, None, r0, p0.saturating_sub(r0)),
+                ("plan", 0, None, p0, end.saturating_sub(p0)),
+            ]);
+        }
+        let span_shards: Vec<ShardId> = span.iter().collect();
+        let fp = query_fingerprint(&plan, &query);
+        let (result, blocks) = body(&Scatter {
+            rd,
+            query: &query,
+            opts,
+            plan: &plan,
+            prepared: &PreparedPlan::new(&plan),
+            fp,
+            shards: &span_shards,
+            trace: trace.as_ref(),
+            sampled,
+        });
+        if rd.migrations.version() == mv0 {
+            break (result, blocks, plan, fp, span_shards.len() as u32);
+        }
+    };
+    // Count the read against the executor that served it, in both the
+    // instance stats and (when telemetry is on) the metrics registry.
+    match blocks {
+        Some(_) => rd.block_queries_total.fetch_add(1, Ordering::Relaxed),
+        None => rd.scalar_queries_total.fetch_add(1, Ordering::Relaxed),
+    };
+    let total_ns = t0.map(elapsed_ns);
+    if let (Some(t), Some(ns)) = (&rd.timers, total_ns) {
+        t.record_exec_path(blocks.as_ref());
+        let total = if aggregate {
+            &t.agg_total
+        } else {
+            &t.query_total
+        };
+        total.record(ns);
+    }
+    let trace_id = trace.as_ref().map_or(0, QueryTrace::trace_id);
+    let samples = trace.map(QueryTrace::into_samples);
+    // Histogram feeding keeps the 1-in-N head-sampling volume; the
+    // buffered span tree of an unsampled read exists only to ride
+    // along with a slow-log entry (or be dropped for free).
+    if sampled {
+        if let Some(samples) = &samples {
+            rd.telemetry.record_stages("esdb_query_stage_ns", samples);
         }
     }
+    // Slow-query detection is always on when telemetry is enabled;
+    // under tail capture the span tree is always populated.
+    if let Some(ns) = total_ns {
+        if ns >= rd.telemetry.slow_threshold_ns() {
+            rd.telemetry.log_slow(SlowQueryEntry {
+                trace_id,
+                sql: sql.to_string(),
+                plan: plan.to_string(),
+                fingerprint: fp,
+                tenant: extract_tenant(&query.filter).map(|t| t.0),
+                fanout,
+                total_ns: ns,
+                stages: samples.unwrap_or_default(),
+            });
+        }
+    }
+    Ok(result)
+}
+
+/// The row-query body: per-shard result sets through the tier-2 request
+/// cache, merged under ORDER BY/LIMIT.
+fn run_query(sc: &Scatter<'_>) -> (QueryRows, Option<esdb_index::BlockStats>) {
+    // Executor choice is made once per query, from the plan shape alone:
+    // the block path runs whenever it is enabled and every residual
+    // predicate is a flat comparison (no nested booleans). Both
+    // executors are row-identical by construction — the scalar one stays
+    // the always-available equivalence oracle.
+    let use_blocks = sc.opts.block_execution && block_eligible(sc.plan);
+    let request_cache = sc.rd.request_cache.as_deref();
+    let shard_results = sc.per_shard(|shard, snap, ctx| {
+        // Tier 2: the whole per-shard result. The generation is read
+        // out of the *pinned* snapshot, so key and data always travel
+        // together — a concurrent refresh between pin and probe cannot
+        // pair the new generation with the old segments (or vice
+        // versa).
+        let key: RequestCacheKey = (shard.0, snap.search_generation(), sc.fp);
+        let hit = request_cache.and_then(|rc| rc.get(&key));
+        // The probe/execute boundary is the one per-shard instant the
+        // busy-accounting reads can't supply. Head-sampled traces pay
+        // the extra clock read for the fine-grained `cache_probe` stage
+        // (it feeds the per-stage histograms); capture-only traces keep
+        // the coarse tree — every stage a slow query needs — for free.
+        let t_probe = sc.trace.filter(|_| sc.sampled).map(QueryTrace::now_ns);
+        let rows = match hit {
+            Some(hit) => (*hit).clone(),
+            None => {
+                let rows = if use_blocks {
+                    execute_prepared_blocks_on_snapshot(sc.query, sc.prepared, snap, ctx)
+                } else {
+                    execute_prepared_on_snapshot(sc.query, sc.prepared, snap, ctx)
+                };
+                if let Some(rc) = request_cache {
+                    rc.insert(key, Arc::new(rows.clone()), 1);
+                }
+                rows
+            }
+        };
+        let prune_ns = use_blocks.then_some(rows.block_prune_ns);
+        (rows, t_probe, prune_ns)
+    });
+    let _span = sc.trace.map(|t| t.span("gather", 0));
+    let merged = merge_results(shard_results, sc.query.order_by.as_ref(), sc.query.limit);
+    let blocks = use_blocks.then_some(merged.blocks);
+    (merged, blocks)
+}
+
+/// The aggregate body. Eligible plans push the aggregation below row
+/// materialization: every shard computes mergeable [`AggPartials`]
+/// straight from columnar doc values against its pinned snapshot, and
+/// the coordinator merges them in span order (keeping MIN/MAX
+/// tie-breaking deterministic) before finishing. Ineligible plans —
+/// block execution off, nested-boolean residuals, or an aggregate over a
+/// column without doc values — fall back to materializing matching rows
+/// per shard and aggregating once at the coordinator with the scalar
+/// reference semantics. Both paths produce identical rows; only
+/// `payload_reads` differs (0 under pushdown).
+fn run_agg_query(sc: &Scatter<'_>) -> (AggResult, Option<esdb_index::BlockStats>) {
+    let query = sc.query;
+    let pushdown = sc.opts.block_execution
+        && block_eligible(sc.plan)
+        && aggregate_pushdown_eligible(query, &sc.rd.schema);
+    if pushdown {
+        let partials = sc.per_shard(|_, snap, ctx| {
+            let part = aggregate_prepared_blocks_on_snapshot(query, sc.prepared, snap, ctx);
+            let prune_ns = part.block_prune_ns;
+            (part, None, Some(prune_ns))
+        });
+        let _span = sc.trace.map(|t| t.span("gather", 0));
+        let mut merged = AggPartials::default();
+        for p in partials {
+            merged.merge(p);
+        }
+        let result = merged.finish(&query.aggregates, query.group_by.is_some());
+        let blocks = result.blocks;
+        return (result, Some(blocks));
+    }
+    // The scalar fallback strips the aggregate clauses off the query
+    // and materializes every matching row — ORDER BY/LIMIT don't
+    // apply below an aggregate, so shards return their full match
+    // sets and one reference aggregation runs over the gather.
+    let row_query = Query {
+        aggregates: Vec::new(),
+        group_by: None,
+        projection: Vec::new(),
+        order_by: None,
+        limit: None,
+        ..query.clone()
+    };
+    let shard_rows = sc.per_shard(|_, snap, ctx| {
+        let rows = execute_prepared_on_snapshot(&row_query, sc.prepared, snap, ctx);
+        (rows, None, None)
+    });
+    let _span = sc.trace.map(|t| t.span("gather", 0));
+    let mut docs = Vec::new();
+    let mut out = AggResult::default();
+    for rows in shard_rows {
+        out.postings_scanned += rows.postings_scanned;
+        out.docs_scanned += rows.docs_scanned;
+        docs.extend(rows.docs);
+    }
+    out.payload_reads = docs.len() as u64;
+    out.rows = aggregate_rows(&docs, &query.aggregates, query.group_by.as_deref());
+    (out, None)
 }
 
 /// Delta of the monotone cache counters; residency (`bytes`, `entries`)
@@ -3656,7 +3304,7 @@ mod tests {
                     .filter(|s| {
                         db.pin_snapshot(ShardId(*s))
                             .get_record(r)
-                            .map_or(false, |d| d.tenant_id == TenantId(tenant))
+                            .is_some_and(|d| d.tenant_id == TenantId(tenant))
                     })
                     .collect();
                 (r, holders)
@@ -3929,5 +3577,27 @@ mod tests {
             let dest = place(TenantId(777), RecordId(r), rule.offset, 16).0;
             assert_eq!(holders, vec![dest], "record {r} recovered to {dest}");
         }
+    }
+
+    /// `Esdb::get` is fenced like every other read: while a cutover
+    /// holds the barrier closed it waits, instead of routing and pinning
+    /// across the placement switch.
+    #[test]
+    fn get_waits_out_a_closed_cutover_barrier() {
+        let (mut db, _) = open("get-fence", |c| c.shards(4));
+        db.insert(doc(7, 1, 1_000)).unwrap();
+        db.refresh();
+        let db = &db;
+        let migrations = &db.writer.state.migrations;
+        migrations.close_write_barrier();
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || tx.send(db.get(TenantId(7), RecordId(1), 1_000)));
+            let early = rx.recv_timeout(std::time::Duration::from_millis(100));
+            migrations.open_write_barrier();
+            assert!(early.is_err(), "get returned through a closed barrier");
+            let got = rx.recv_timeout(std::time::Duration::from_secs(30));
+            assert!(got.expect("get returns once the barrier opens").is_some());
+        });
     }
 }

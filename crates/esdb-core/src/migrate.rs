@@ -324,9 +324,10 @@ impl MigrationTable {
         entry.tail = Vec::new();
     }
 
-    /// The tail-capture hook, called from the group-commit drain at
-    /// each op's success point (so capture happens before the
-    /// submitter's permit releases). When the tail exceeds its bound,
+    /// The tail-capture hook, called from the write path at each op's
+    /// success point, under the shard's engine lock (so capture order is
+    /// apply order, and capture happens before the submitter's permit
+    /// releases). When the tail exceeds its bound,
     /// capture stops and the entry is flagged for abort — the op is
     /// still durable at its (old-placement) shard, and abort leaves it
     /// there, so nothing acked is ever lost.

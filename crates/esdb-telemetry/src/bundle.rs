@@ -122,15 +122,9 @@ impl DebugBundle {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"trace_id\": {}, \"shard\": {}, \"group_size\": {}, \"ops\": {}, \
-                 \"lock_wait_ns\": {}, \"translog_bytes\": {}, \"total_ns\": {}}}",
-                e.trace_id,
-                e.shard,
-                e.group_size,
-                e.ops,
-                e.lock_wait_ns,
-                e.translog_bytes,
-                e.total_ns
+                "\n    {{\"trace_id\": {}, \"shard\": {}, \"ops\": {}, \"lock_wait_ns\": {}, \
+                 \"translog_bytes\": {}, \"total_ns\": {}}}",
+                e.trace_id, e.shard, e.ops, e.lock_wait_ns, e.translog_bytes, e.total_ns
             ));
         }
         out.push_str("\n  ],\n  \"metrics\": ");
@@ -168,7 +162,6 @@ mod tests {
         t.log_slow_write(SlowWriteEntry {
             trace_id: 0,
             shard: 3,
-            group_size: 2,
             ops: 5,
             lock_wait_ns: 10,
             translog_bytes: 512,

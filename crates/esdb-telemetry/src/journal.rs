@@ -1,17 +1,16 @@
 //! The flight-recorder event journal: a bounded, striped ring of typed,
 //! monotonically-sequenced events describing *decisions* the engine made
 //! — hot-tenant detections, rule-list appends, rebalance epochs, replica
-//! promotions, segment maintenance, cache sweeps, group-commit drains,
-//! chaos fault firings.
+//! promotions, segment maintenance, cache sweeps, chaos fault firings.
 //!
 //! Metrics answer "how much / how slow"; the journal answers "*why* did
-//! the balancer/failover controller/group-commit pipeline do what it
-//! did, and in what order". Every event carries a process-unique
-//! sequence number from one atomic counter (a strict total order across
-//! all emitting threads) and an optional causal `parent_seq` linking it
-//! to the event that triggered it — a rule append points back at the
-//! hot-tenant detection, a promotion completion at the translog replay
-//! that fed it.
+//! the balancer/failover controller do what it did, and in what
+//! order". Every event carries a process-unique sequence number from
+//! one atomic counter (a strict total order across all emitting
+//! threads) and an optional causal `parent_seq` linking it to the event
+//! that triggered it — a rule append points back at the hot-tenant
+//! detection, a promotion completion at the translog replay that fed
+//! it.
 //!
 //! # Concurrency & bounds
 //!
@@ -214,18 +213,6 @@ pub enum EventKind {
         /// Entries resident after the sweep.
         entries: u64,
     },
-    /// A group-commit leader drained a contended write queue (solo
-    /// drains are not journaled — they are the uncontended fast path).
-    GroupCommitDrain {
-        /// The drained shard.
-        shard: u32,
-        /// Write groups coalesced into the drain.
-        groups: u32,
-        /// Total ops applied.
-        ops: u32,
-        /// The leader's lock wait (ns); 0 when it won immediately.
-        lock_wait_ns: u64,
-    },
     /// The network front-end's admission controller started admitting a
     /// tenant again (journaled on the transition back from a throttle or
     /// shed spell, not per request — steady-state admits are the fast
@@ -294,7 +281,6 @@ impl EventKind {
             EventKind::SegmentMerge { .. } => "segment_merge",
             EventKind::SegmentFlush { .. } => "segment_flush",
             EventKind::CacheSweep { .. } => "cache_sweep",
-            EventKind::GroupCommitDrain { .. } => "group_commit_drain",
             EventKind::ServerAdmit { .. } => "server_admit",
             EventKind::ServerThrottle { .. } => "server_throttle",
             EventKind::ServerShed { .. } => "server_shed",
@@ -405,15 +391,6 @@ impl EventKind {
             EventKind::CacheSweep { evicted, entries } => {
                 format!("\"evicted\": {evicted}, \"entries\": {entries}")
             }
-            EventKind::GroupCommitDrain {
-                shard,
-                groups,
-                ops,
-                lock_wait_ns,
-            } => format!(
-                "\"shard\": {shard}, \"groups\": {groups}, \"ops\": {ops}, \
-                 \"lock_wait_ns\": {lock_wait_ns}"
-            ),
             EventKind::ServerAdmit { tenant } => format!("\"tenant\": {tenant}"),
             EventKind::ServerThrottle {
                 tenant,

@@ -5,8 +5,8 @@
 //! For queries: the SQL text, the plan (fingerprint + rendered form),
 //! which tenant, the shard fan-out, and the per-stage span tree (always
 //! populated under tail-based capture, regardless of head sampling).
-//! For writes: the drained shard, group size, lock wait and translog
-//! bytes of the group-commit drain that crossed the threshold. Both
+//! For writes: the shard, op count, lock wait and translog bytes of
+//! the submission whose engine-lock hold crossed the threshold. Both
 //! logs are bounded rings: the newest `capacity` entries win, and
 //! logging is off the hot path (one branch on the threshold; the mutex
 //! is taken only for actual slow requests).
@@ -36,24 +36,23 @@ pub struct SlowQueryEntry {
     pub stages: Vec<StageSample>,
 }
 
-/// One slow group-commit drain (the write-side twin of
-/// [`SlowQueryEntry`]).
+/// One slow write submission — a single op, or one shard's group of a
+/// batch — timed over its hold of the shard's engine lock (the
+/// write-side twin of [`SlowQueryEntry`]).
 #[derive(Debug, Clone)]
 pub struct SlowWriteEntry {
-    /// Trace id of the leading write batch (0 when untraced, e.g. a
-    /// single-op write).
+    /// Trace id of the write batch (0 when untraced, e.g. a single-op
+    /// write).
     pub trace_id: u64,
-    /// Shard whose queue was drained.
+    /// Shard written to.
     pub shard: u32,
-    /// Write groups coalesced into the drain.
-    pub group_size: u32,
-    /// Total ops applied by the drain.
+    /// Ops submitted under the lock hold.
     pub ops: u32,
-    /// The leader's engine-lock wait (ns); 0 when uncontended.
+    /// The submission's engine-lock wait (ns); 0 when uncontended.
     pub lock_wait_ns: u64,
-    /// Approximate translog bytes appended by the drain.
+    /// Approximate translog bytes appended.
     pub translog_bytes: u64,
-    /// Drain latency (lock acquired → group applied) in nanoseconds.
+    /// Lock hold time (lock acquired → ops applied) in nanoseconds.
     pub total_ns: u64,
 }
 
@@ -210,7 +209,6 @@ mod tests {
         SlowWriteEntry {
             trace_id: 0,
             shard,
-            group_size: 3,
             ops: 12,
             lock_wait_ns: 4_000,
             translog_bytes: 1_024,

@@ -22,7 +22,8 @@ pub struct TelemetryConfig {
     pub trace_sample_every: u64,
     /// Queries slower than this land in the slow-query log.
     pub slow_query_threshold_us: u64,
-    /// Group-commit drains slower than this land in the slow-write log.
+    /// Write submissions that hold a shard's engine lock longer than
+    /// this land in the slow-write log.
     pub slow_write_threshold_us: u64,
     /// Slow-query / slow-write ring capacity (each).
     pub slow_log_capacity: usize,
@@ -168,7 +169,7 @@ impl Telemetry {
         self.config.slow_query_threshold_us.saturating_mul(1_000)
     }
 
-    /// Slow-write (group-drain) threshold in nanoseconds.
+    /// Slow-write threshold in nanoseconds.
     #[inline]
     pub fn slow_write_threshold_ns(&self) -> u64 {
         self.config.slow_write_threshold_us.saturating_mul(1_000)
@@ -272,7 +273,6 @@ mod tests {
         t.log_slow_write(SlowWriteEntry {
             trace_id: 0,
             shard: 0,
-            group_size: 1,
             ops: 1,
             lock_wait_ns: 0,
             translog_bytes: 0,
@@ -328,7 +328,6 @@ mod tests {
         t.log_slow_write(SlowWriteEntry {
             trace_id: 0,
             shard: 2,
-            group_size: 4,
             ops: 9,
             lock_wait_ns: 100,
             translog_bytes: 640,

@@ -10,6 +10,7 @@ use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig, WriteBatcher};
 use esdb_doc::{CollectionSchema, Document, FieldValue, WriteOp};
 use esdb_integration_tests::test_dir;
+use esdb_storage::WriteFault;
 use esdb_telemetry::lint_prometheus;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -23,8 +24,8 @@ const STRIDE: u64 = 10_000;
 /// Zipf-flavored deterministic tenant for a record: half the records on
 /// the hot tenant, a short tail behind it. Concentrating load on one
 /// tenant's shard makes same-shard writers actually collide, so the
-/// group-commit path (leader drains followers' groups) is exercised,
-/// not just the disjoint-shard fast path.
+/// contended engine-lock path is exercised, not just the
+/// disjoint-shard fast path.
 fn tenant_for(rid: u64) -> u64 {
     match rid % 10 {
         0..=4 => 1,
@@ -242,10 +243,25 @@ fn no_acknowledged_write_lost_under_injected_faults() {
     }
 }
 
-/// Hot-shard collisions must surface through the new group-commit
-/// telemetry: every applied op shows up in `esdb_write_group_size`,
-/// every submission in `esdb_write_lock_wait_ns`, and the exposition
-/// stays Prometheus-lint clean.
+/// Tears (at offset 0) every translog frame of at least `min_len` bytes:
+/// a fault keyed on the op itself, so it hits the same ops however the
+/// writers interleave.
+#[derive(Debug)]
+struct TearLongFrames {
+    min_len: usize,
+}
+
+impl WriteFault for TearLongFrames {
+    fn torn_write_len(&self, frame_len: usize) -> Option<usize> {
+        (frame_len >= self.min_len).then_some(0)
+    }
+}
+
+/// Hot-shard collisions must surface through the write telemetry: every
+/// submitted op shows up in `esdb_write_group_size`, contended
+/// submissions in `esdb_write_lock_wait_ns`, and the exposition stays
+/// Prometheus-lint clean. And a `stop_on_error` batch failing mid-group
+/// on a contended shard applies and counts exactly its prefix.
 #[test]
 fn group_commit_telemetry_accounts_every_op_and_lints() {
     const PER_THREAD: u64 = 300;
@@ -281,8 +297,8 @@ fn group_commit_telemetry_accounts_every_op_and_lints() {
             .unwrap_or_else(|| panic!("{name} missing from snapshot"))
     };
     let (_, _, group_size) = hist("esdb_write_group_size");
-    // Each drain records the ops it applied, so the observation sum
-    // re-counts exactly the issued ops.
+    // Each lock hold records the ops it was handed, so the observation
+    // sum re-counts exactly the issued ops.
     assert_eq!(group_size.sum(), issued as u128, "group sizes sum to ops");
     assert!(group_size.count() >= 1 && group_size.count() <= issued);
     // Lock-wait samples only contended submissions, so its count is
@@ -293,12 +309,82 @@ fn group_commit_telemetry_accounts_every_op_and_lints() {
         lock_wait.count() <= issued,
         "at most one lock-wait sample per submission"
     );
-    assert!(
-        snap.gauges
-            .iter()
-            .any(|(n, _, _)| n == "esdb_write_queue_depth"),
-        "queue-depth gauge exported"
-    );
     let errors = lint_prometheus(&snap.to_prometheus());
     assert!(errors.is_empty(), "lint violations: {errors:?}");
+
+    // The fault case: batches of 9 single-tenant ops whose 5th op
+    // carries a payload long enough to be torn, racing a second writer
+    // that hammers the same shard with healthy single inserts.
+    const BATCHES: u64 = 50;
+    const BATCH_OPS: u64 = 9;
+    const FAULT_AT: u64 = 4;
+    const HAMMER: u64 = 300;
+    let mut db = Esdb::open(
+        CollectionSchema::transaction_logs(),
+        EsdbConfig::new(test_dir("conc-batch-fault"))
+            .shards(4)
+            .write_fault(Arc::new(TearLongFrames { min_len: 4_096 })),
+    )
+    .expect("open");
+    let small = |rid: u64| {
+        Document::builder(TenantId(1), RecordId(rid), 1_000 + rid)
+            .field("status", (rid % 3) as i64)
+            .build()
+    };
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let (batch_writer, hammer_writer) = (db.writer(), db.writer());
+        let (start, small) = (&start, &small);
+        scope.spawn(move || {
+            start.wait();
+            for b in 0..BATCHES {
+                let mut batcher = WriteBatcher::new();
+                for i in 0..BATCH_OPS {
+                    let rid = b * BATCH_OPS + i;
+                    batcher.push(WriteOp::insert(if i == FAULT_AT {
+                        Document::builder(TenantId(1), RecordId(rid), 1_000 + rid)
+                            .field("memo", "x".repeat(8_192))
+                            .build()
+                    } else {
+                        small(rid)
+                    }));
+                }
+                batch_writer
+                    .write_batch(&mut batcher)
+                    .expect_err("the torn op fails its batch");
+            }
+        });
+        scope.spawn(move || {
+            start.wait();
+            for off in 0..HAMMER {
+                hammer_writer
+                    .insert(small(STRIDE + off))
+                    .expect("healthy insert");
+            }
+        });
+    });
+    let stats = db.stats();
+    assert_eq!(
+        stats.writes,
+        BATCHES * FAULT_AT + HAMMER,
+        "batch prefixes + hammer"
+    );
+    assert_eq!(stats.write_errors, BATCHES, "one error per stopped group");
+    assert_eq!(
+        stats.writes + stats.write_errors,
+        BATCHES * (FAULT_AT + 1) + HAMMER,
+        "every attempted op resolves; unattempted tails count nowhere"
+    );
+    db.refresh();
+    for b in 0..BATCHES {
+        for i in 0..BATCH_OPS {
+            let rid = b * BATCH_OPS + i;
+            assert_eq!(
+                db.get(TenantId(1), RecordId(rid), 1_000 + rid).is_some(),
+                i < FAULT_AT,
+                "batch {b} op {i}: only the prefix before the fault applies"
+            );
+        }
+    }
+    assert_eq!(stats.live_docs + stats.buffered_docs, stats.writes as usize);
 }

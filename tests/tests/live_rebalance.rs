@@ -220,11 +220,7 @@ fn crash_during_handoff_recovers_every_acked_write_exactly_once() {
     assert_eq!(rows.len(), 2_250, "acked writes conserved across crash");
     // Row identity + exactly-once: each record held by exactly one shard.
     for (i, d) in rows.iter().enumerate() {
-        assert_eq!(
-            d.record_id.raw() % 10 < 9,
-            true,
-            "foreign row leaked: {d:?}"
-        );
+        assert!(d.record_id.raw() % 10 < 9, "foreign row leaked: {d:?}");
         assert_eq!(d.created_at, 900_000 + d.record_id.raw());
         let h = holders(&db, d.record_id.raw());
         assert_eq!(h.len(), 1, "row {i} duplicated across shards: {h:?}");

@@ -519,9 +519,9 @@ fn unsampled_slow_queries_carry_full_span_trees() {
     );
 }
 
-/// Slow-write twin: threshold 0 logs every group-commit drain with the
-/// shard, op counts, and byte accounting filled in, and the snapshot
-/// exposes the log next to the slow queries.
+/// Slow-write twin: threshold 0 logs every per-shard write submission
+/// with the shard, op counts, and byte accounting filled in, and the
+/// snapshot exposes the log next to the slow queries.
 #[test]
 fn slow_write_log_records_drains() {
     let mut db = Esdb::open(
@@ -541,13 +541,12 @@ fn slow_write_log_records_drains() {
     }
     db.write_batch(&mut batcher).unwrap();
     let writes = db.slow_writes();
-    assert!(!writes.is_empty(), "threshold 0 must log every drain");
+    assert!(!writes.is_empty(), "threshold 0 must log every submission");
     let total_ops: u64 = writes.iter().map(|w| w.ops as u64).sum();
-    assert_eq!(total_ops, 40, "every written op is attributed to a drain");
+    assert_eq!(total_ops, 40, "every written op is attributed to an entry");
     for w in &writes {
         assert!(w.shard < 2);
-        assert!(w.group_size >= 1);
-        assert!(w.translog_bytes > 0, "drains account translog bytes");
+        assert!(w.translog_bytes > 0, "entries account translog bytes");
         assert!(w.total_ns > 0);
     }
     let snap = db.telemetry_snapshot();

@@ -270,7 +270,7 @@ fn live_snapshot_lints_and_round_trips() {
     assert!(prom.contains("esdb_storage_stage_ns"));
     assert!(prom.contains("esdb_query_total_ns"));
     assert!(prom.contains("esdb_monitor_writes_total"));
-    // Flight-recorder write-path series: group-commit drain latency.
+    // Flight-recorder write-path series: engine-lock hold time.
     assert!(prom.contains("esdb_write_drain_ns"));
 }
 
