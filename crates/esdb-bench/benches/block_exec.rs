@@ -25,7 +25,7 @@
 use criterion::black_box;
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
-use esdb_core::{Esdb, EsdbConfig};
+use esdb_core::{Esdb, EsdbConfig, EsdbReader};
 use esdb_doc::{CollectionSchema, FieldValue};
 use esdb_index::BlockStats;
 use esdb_query::QueryOptions;
@@ -126,12 +126,13 @@ fn build(scale: &Scale) -> Esdb {
             .query_caches(false),
     )
     .expect("open bench instance");
+    let w = db.writer();
     let mut docs = DocGenerator::new(1_500, 20, 7);
     let zipf = ZipfSampler::new(scale.tenants, THETA);
     let mut rng = StdRng::seed_from_u64(7);
     for r in 0..scale.rows {
         let tenant = 1 + zipf.sample(&mut rng) as u64;
-        db.insert(docs.materialize(&WriteEvent {
+        w.insert(docs.materialize(&WriteEvent {
             tenant: TenantId(tenant),
             record: RecordId(r),
             created_at: 1_000_000 + r * 350,
@@ -177,25 +178,20 @@ fn values_close(a: &FieldValue, b: &FieldValue) -> bool {
     }
 }
 
-fn time_filter_pass(db: &Esdb, seq: &[String], opts: QueryOptions) -> u128 {
+fn time_filter_pass(rd: &EsdbReader, seq: &[String], opts: QueryOptions) -> u128 {
     let t0 = Instant::now();
     for sql in seq {
-        black_box(db.query_opts(sql, opts).expect("filter query"));
+        black_box(rd.query_opts(sql, opts).expect("filter query"));
     }
     t0.elapsed().as_nanos()
 }
 
-fn time_agg_pass(db: &Esdb, seq: &[String], opts: QueryOptions) -> u128 {
+fn time_agg_pass(rd: &EsdbReader, seq: &[String], opts: QueryOptions) -> u128 {
     let t0 = Instant::now();
     for sql in seq {
-        black_box(db.aggregate_opts(sql, opts).expect("agg query"));
+        black_box(rd.aggregate_opts(sql, opts).expect("agg query"));
     }
     t0.elapsed().as_nanos()
-}
-
-fn median(samples: &mut [u128]) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -206,6 +202,7 @@ fn main() {
     let degraded = esdb_bench::degraded_single_core(fast);
 
     let db = build(&scale);
+    let rd = db.reader();
     let filter_seq = sequence(&scale, filter_templates, 42);
     let agg_seq = sequence(&scale, agg_templates, 43);
 
@@ -214,8 +211,8 @@ fn main() {
     let mut rows_identical = true;
     let mut block_stats = BlockStats::default();
     for sql in &filter_seq {
-        let block = db.query(sql).expect("block filter query");
-        let scalar = db
+        let block = rd.query(sql).expect("block filter query");
+        let scalar = rd
             .query_opts(sql, scalar_opts())
             .expect("scalar filter query");
         if block.docs != scalar.docs {
@@ -230,8 +227,8 @@ fn main() {
     let mut aggs_identical = true;
     let mut payload_reads = 0u64;
     for sql in &agg_seq {
-        let pushed = db.aggregate(sql).expect("block aggregate query");
-        let oracle = db
+        let pushed = rd.aggregate(sql).expect("block aggregate query");
+        let oracle = rd
             .aggregate_opts(sql, scalar_opts())
             .expect("scalar aggregate");
         let same = pushed.rows.len() == oracle.rows.len()
@@ -256,15 +253,15 @@ fn main() {
     let mut agg_block: Vec<u128> = Vec::with_capacity(scale.samples);
     let mut agg_scalar: Vec<u128> = Vec::with_capacity(scale.samples);
     for _ in 0..scale.samples {
-        filter_block.push(time_filter_pass(&db, &filter_seq, QueryOptions::default()));
-        filter_scalar.push(time_filter_pass(&db, &filter_seq, scalar_opts()));
-        agg_block.push(time_agg_pass(&db, &agg_seq, QueryOptions::default()));
-        agg_scalar.push(time_agg_pass(&db, &agg_seq, scalar_opts()));
+        filter_block.push(time_filter_pass(&rd, &filter_seq, QueryOptions::default()));
+        filter_scalar.push(time_filter_pass(&rd, &filter_seq, scalar_opts()));
+        agg_block.push(time_agg_pass(&rd, &agg_seq, QueryOptions::default()));
+        agg_scalar.push(time_agg_pass(&rd, &agg_seq, scalar_opts()));
     }
-    let fb = median(&mut filter_block);
-    let fs = median(&mut filter_scalar);
-    let ab = median(&mut agg_block);
-    let as_ = median(&mut agg_scalar);
+    let fb = esdb_bench::median(&mut filter_block);
+    let fs = esdb_bench::median(&mut filter_scalar);
+    let ab = esdb_bench::median(&mut agg_block);
+    let as_ = esdb_bench::median(&mut agg_scalar);
     let filter_speedup = fs as f64 / fb as f64;
     let agg_speedup = as_ as f64 / ab as f64;
 

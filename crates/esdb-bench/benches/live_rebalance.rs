@@ -195,6 +195,7 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
     cfg.balance_every_writes = 0;
     let mut db = Esdb::open_with_clock(CollectionSchema::transaction_logs(), cfg, clock)
         .expect("open bench engine");
+    let (w, rd) = (db.writer(), db.reader());
 
     let zipf = ZipfSampler::new(scale.tenants, THETA);
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -208,18 +209,18 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
     // 2 per write and the lag is odd, so every created_time stays unique
     // (ORDER BY has no cross-shard tie-break freedom).
     let lag = 8 * scale.step_every + 1;
-    let mut write = |db: &mut Esdb, now: &mut u64, counts: &mut Vec<u64>, record: u64| {
+    let mut write = |now: &mut u64, counts: &mut Vec<u64>, record: u64| {
         driver.advance(2);
         *now += 2;
         let at = if record % 4 == 3 { *now - lag } else { *now };
         let tenant = zipf.sample(&mut rng) as u64;
-        db.insert(bench_doc(tenant, record, at)).expect("insert");
+        w.insert(bench_doc(tenant, record, at)).expect("insert");
         counts[tenant as usize] += 1;
     };
 
     // Phase 1: preload under skew.
     for r in 0..scale.preload_rows {
-        write(&mut db, &mut now, &mut counts, r);
+        write(&mut now, &mut counts, r);
         acked += 1;
     }
 
@@ -250,7 +251,7 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
         "SELECT * FROM transaction_logs WHERE tenant_id = {} ORDER BY created_time ASC",
         hot.0
     );
-    let before = db.query(&sql).expect("pre-migration query").docs;
+    let before = rd.query(&sql).expect("pre-migration query").docs;
     if before.len() as u64 != counts[hot.0 as usize] {
         gates.push(format!(
             "pre-migration visibility: {} hot rows acked, {} visible",
@@ -264,7 +265,7 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
     // Phase 3: writes keep flowing while the migration walks handoff →
     // drain → cutover, one phase per `step_every` writes.
     for r in 0..scale.live_rows {
-        write(&mut db, &mut now, &mut counts, scale.preload_rows + r);
+        write(&mut now, &mut counts, scale.preload_rows + r);
         acked += 1;
         if r % scale.step_every == scale.step_every - 1 {
             db.step_migrations();
@@ -286,7 +287,7 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
 
     // Phase 4: conservation, row identity, physical collapse.
     db.refresh();
-    let after = db.query(&sql).expect("post-migration query").docs;
+    let after = rd.query(&sql).expect("post-migration query").docs;
     if after.len() as u64 != acked_hot {
         gates.push(format!(
             "LOST ACKED WRITES: {} hot rows acked, {} visible after cutover",

@@ -22,7 +22,7 @@
 use criterion::black_box;
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
-use esdb_core::{Esdb, EsdbConfig};
+use esdb_core::{Esdb, EsdbConfig, EsdbReader};
 use esdb_doc::CollectionSchema;
 use esdb_workload::{DocGenerator, WriteEvent};
 use rand::rngs::StdRng;
@@ -97,6 +97,7 @@ fn build(scale: &Scale, caches: bool) -> Esdb {
             .query_caches(caches),
     )
     .expect("open bench instance");
+    let w = db.writer();
     let mut docs = DocGenerator::new(1_500, 20, 7);
     // Tenant data itself is Zipf-skewed too: hot tenants own most rows,
     // so their queries are the expensive ones the cache absorbs.
@@ -104,7 +105,7 @@ fn build(scale: &Scale, caches: bool) -> Esdb {
     let mut rng = StdRng::seed_from_u64(7);
     for r in 0..scale.rows {
         let tenant = 1 + zipf.sample(&mut rng) as u64;
-        db.insert(docs.materialize(&WriteEvent {
+        w.insert(docs.materialize(&WriteEvent {
             tenant: TenantId(tenant),
             record: RecordId(r),
             created_at: 1_000_000 + r * 350,
@@ -132,25 +133,20 @@ fn query_sequence(scale: &Scale) -> Vec<String> {
 }
 
 /// Runs one pass; returns the row-key fingerprint of every result.
-fn run_pass(db: &mut Esdb, seq: &[String]) -> Vec<u64> {
+fn run_pass(rd: &EsdbReader, seq: &[String]) -> Vec<u64> {
     let mut fingerprint = Vec::new();
     for sql in seq {
-        let rows = db.query(sql).expect("query");
+        let rows = rd.query(sql).expect("query");
         fingerprint.push(rows.docs.len() as u64);
         fingerprint.extend(rows.docs.iter().map(|d| d.record_id.raw()));
     }
     fingerprint
 }
 
-fn time_pass(db: &mut Esdb, seq: &[String]) -> u128 {
+fn time_pass(rd: &EsdbReader, seq: &[String]) -> u128 {
     let t0 = Instant::now();
-    black_box(run_pass(db, seq));
+    black_box(run_pass(rd, seq));
     t0.elapsed().as_nanos()
-}
-
-fn median(samples: &mut [u128]) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -163,18 +159,19 @@ fn main() {
 
     let mut on = build(&scale, true);
     let mut off = build(&scale, false);
+    let (w_on, rd_on, w_off, rd_off) = (on.writer(), on.reader(), off.writer(), off.reader());
 
     // Determinism gate: cache-on must be row-identical to cache-off on
     // the cold pass (both empty) and on warm passes (hits serving).
     let mut determinism_ok = true;
-    let reference = run_pass(&mut off, &seq);
-    let cold_check = run_pass(&mut on, &seq);
+    let reference = run_pass(&rd_off, &seq);
+    let cold_check = run_pass(&rd_on, &seq);
     if cold_check != reference {
         eprintln!("DETERMINISM VIOLATION: cold cached pass diverged from uncached");
         determinism_ok = false;
     }
     for pass in 0..2 {
-        if run_pass(&mut on, &seq) != reference {
+        if run_pass(&rd_on, &seq) != reference {
             eprintln!("DETERMINISM VIOLATION: warm cached pass {pass} diverged from uncached");
             determinism_ok = false;
         }
@@ -195,15 +192,15 @@ fn main() {
                 bytes: 512,
             };
             let d = docs.materialize(&ev);
-            on.insert(d.clone()).expect("insert row");
-            off.insert(d).expect("insert row");
+            w_on.insert(d.clone()).expect("insert row");
+            w_off.insert(d).expect("insert row");
         }
     }
     on.refresh();
     off.refresh();
     for sql in &seq {
-        let a = off.query(sql).expect("query");
-        let b = on.query(sql).expect("query");
+        let a = rd_off.query(sql).expect("query");
+        let b = rd_on.query(sql).expect("query");
         let ka: Vec<u64> = a.docs.iter().map(|d| d.record_id.raw()).collect();
         let kb: Vec<u64> = b.docs.iter().map(|d| d.record_id.raw()).collect();
         if ka != kb {
@@ -218,16 +215,15 @@ fn main() {
 
     // Timings. A fresh cache-enabled instance gives an honest cold pass;
     // `on` is already warm for the warm samples.
-    let mut cold_db = build(&scale, true);
-    let cold_ns = time_pass(&mut cold_db, &seq);
+    let cold_ns = time_pass(&build(&scale, true).reader(), &seq);
     let mut warm: Vec<u128> = (0..scale.samples)
-        .map(|_| time_pass(&mut on, &seq))
+        .map(|_| time_pass(&rd_on, &seq))
         .collect();
     let mut uncached: Vec<u128> = (0..scale.samples)
-        .map(|_| time_pass(&mut off, &seq))
+        .map(|_| time_pass(&rd_off, &seq))
         .collect();
-    let warm_median = median(&mut warm);
-    let uncached_median = median(&mut uncached);
+    let warm_median = esdb_bench::median(&mut warm);
+    let uncached_median = esdb_bench::median(&mut uncached);
     let warm_speedup = uncached_median as f64 / warm_median as f64;
     let cold_vs_warm = cold_ns as f64 / warm_median as f64;
 

@@ -119,6 +119,7 @@ fn build(scale: &Scale) -> Esdb {
             .query_caches(false),
     )
     .expect("open bench instance");
+    let w = db.writer();
     let mut docs = DocGenerator::new(1_500, 20, 7);
     let zipf = ZipfSampler::new(scale.tenants, THETA);
     let mut rng = StdRng::seed_from_u64(7);
@@ -127,7 +128,7 @@ fn build(scale: &Scale) -> Esdb {
     let slice = scale.rows / 6;
     for r in 0..scale.rows {
         let tenant = 1 + zipf.sample(&mut rng) as u64;
-        db.insert(docs.materialize(&WriteEvent {
+        w.insert(docs.materialize(&WriteEvent {
             tenant: TenantId(tenant),
             record: RecordId(r),
             created_at: 1_000_000 + r * 350,
@@ -195,6 +196,7 @@ fn main() {
     let degraded = esdb_bench::degraded_single_core(fast);
 
     let mut db = build(&scale);
+    let rd = db.reader();
     // Sequential per-query execution: one latency sample per query with
     // no scatter-gather thread-spawn jitter in it. The writer keeps the
     // default degree — merges are the contention source under test.
@@ -216,6 +218,7 @@ fn main() {
     let merges = AtomicU64::new(0);
     let refreshes = AtomicU64::new(0);
     let (mut lat_c, fp_c) = std::thread::scope(|s| {
+        let churn = db.writer();
         let writer_db = &mut db;
         let (done, merges, refreshes, scale_ref) = (&done, &merges, &refreshes, &scale);
         s.spawn(move || {
@@ -225,7 +228,7 @@ fn main() {
             // first, so "contended" is never an empty claim.
             loop {
                 for _ in 0..scale_ref.churn_batch {
-                    writer_db
+                    churn
                         .insert(docs.materialize(&WriteEvent {
                             tenant: TenantId(NOISE_TENANT),
                             record: RecordId(next),
@@ -260,7 +263,7 @@ fn main() {
     }
     // And the facade agrees once the dust settles.
     for sql in &seq {
-        let _ = db.query(sql).expect("post-churn query");
+        let _ = rd.query(sql).expect("post-churn query");
     }
 
     let (p50_u, p99_u) = p50_p99(&mut lat_u);

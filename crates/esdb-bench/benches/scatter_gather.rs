@@ -9,7 +9,7 @@
 use criterion::black_box;
 use esdb_common::exec::available_parallelism;
 use esdb_common::{RecordId, TenantId};
-use esdb_core::{Esdb, EsdbConfig, RoutingMode};
+use esdb_core::{Esdb, EsdbConfig, EsdbReader, RoutingMode};
 use esdb_doc::CollectionSchema;
 use esdb_workload::{DocGenerator, WriteEvent};
 use std::path::PathBuf;
@@ -61,6 +61,7 @@ fn build(n_shards: u32) -> Esdb {
             .routing(RoutingMode::DoubleHashing(n_shards)),
     )
     .expect("open bench instance");
+    let w = db.writer();
     let mut docs = DocGenerator::new(1_500, 20, 7);
     let total = ROWS_PER_SHARD * n_shards as u64;
     for r in 0..total {
@@ -71,7 +72,7 @@ fn build(n_shards: u32) -> Esdb {
         } else {
             HOT_TENANT
         };
-        db.insert(docs.materialize(&WriteEvent {
+        w.insert(docs.materialize(&WriteEvent {
             tenant: TenantId(tenant),
             record: RecordId(r),
             created_at: 1_000_000 + r * 350,
@@ -87,10 +88,10 @@ fn build(n_shards: u32) -> Esdb {
 
 /// Runs every template once; returns the row keys in result order (the
 /// determinism fingerprint).
-fn run_all(db: &mut Esdb, qs: &[(&'static str, String)]) -> Vec<u64> {
+fn run_all(rd: &EsdbReader, qs: &[(&'static str, String)]) -> Vec<u64> {
     let mut fingerprint = Vec::new();
     for (_, sql) in qs {
-        let rows = db.query(sql).expect("query");
+        let rows = rd.query(sql).expect("query");
         fingerprint.extend(rows.docs.iter().map(|d| d.record_id.raw()));
     }
     fingerprint
@@ -107,13 +108,15 @@ struct Measurement {
 fn measure(db: &mut Esdb, shards: u32, parallelism: usize) -> Measurement {
     let qs = templates();
     db.set_parallelism(parallelism);
+    // A handle captures the degree in effect when it is cloned.
+    let rd = db.reader();
     for _ in 0..2 {
-        black_box(run_all(db, &qs));
+        black_box(run_all(&rd, &qs));
     }
     let mut samples: Vec<u128> = (0..SAMPLES)
         .map(|_| {
             let t0 = Instant::now();
-            black_box(run_all(db, &qs));
+            black_box(run_all(&rd, &qs));
             t0.elapsed().as_nanos()
         })
         .collect();
@@ -152,10 +155,10 @@ fn main() {
         // Determinism gate: every parallel degree must return
         // byte-identical rows in identical order to the sequential run.
         db.set_parallelism(1);
-        let reference = run_all(&mut db, &templates());
+        let reference = run_all(&db.reader(), &templates());
         for degree in [2, 4, cores.max(2)] {
             db.set_parallelism(degree);
-            if run_all(&mut db, &templates()) != reference {
+            if run_all(&db.reader(), &templates()) != reference {
                 eprintln!("DETERMINISM VIOLATION at {shards} shards, parallelism {degree}");
                 determinism_ok = false;
             }

@@ -32,7 +32,7 @@
 
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
-use esdb_core::{Esdb, EsdbConfig};
+use esdb_core::{Esdb, EsdbConfig, EsdbReader};
 use esdb_doc::{CollectionSchema, Document, FieldValue};
 use esdb_server::{
     start, AdmissionConfig, EsdbClient, RateLimit, ServerConfig, TcpTransport, TokenTable,
@@ -139,14 +139,14 @@ fn tokens(scale: &Scale) -> TokenTable {
 
 /// FNV-1a over the visible row set: the byte-comparable image used by
 /// the identity and determinism gates.
-fn row_signature(db: &Esdb, scale: &Scale) -> (u64, u64) {
+fn row_signature(rd: &EsdbReader, scale: &Scale) -> (u64, u64) {
     // Rows are sorted before hashing: concurrent passes interleave
     // equal `created_time` keys differently, and insertion tie-order
     // is not part of the result contract.
     let mut rows: Vec<[u64; 4]> = Vec::new();
     for t in 1..=scale.tenants as u64 {
         let sql = format!("SELECT * FROM transaction_logs WHERE tenant_id = {t}");
-        for d in db.query(&sql).expect("signature query").docs.iter() {
+        for d in rd.query(&sql).expect("signature query").docs.iter() {
             let status = match d.get("status") {
                 Some(FieldValue::Int(s)) => s,
                 other => panic!("status missing: {other:?}"),
@@ -241,7 +241,7 @@ fn run_pass(scale: &Scale, shedding: bool, tag: &str) -> PassResult {
     }
     let (mut db, _report) = handle.shutdown();
     db.refresh();
-    let signature = row_signature(&db, scale);
+    let signature = row_signature(&db.reader(), scale);
 
     victim_ns.sort_unstable();
     let victim_p99_ns = if victim_ns.is_empty() {
@@ -263,13 +263,14 @@ fn run_pass(scale: &Scale, shedding: bool, tag: &str) -> PassResult {
 /// The embedded oracle: the same schedule applied directly, no server.
 fn oracle_signature(scale: &Scale) -> (u64, u64) {
     let mut db = open(scale, "oracle");
+    let w = db.writer();
     for sched in schedules(scale) {
         for doc in sched {
-            db.insert(doc).expect("oracle insert");
+            w.insert(doc).expect("oracle insert");
         }
     }
     db.refresh();
-    row_signature(&db, scale)
+    row_signature(&db.reader(), scale)
 }
 
 fn main() {

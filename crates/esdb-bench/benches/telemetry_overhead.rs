@@ -33,7 +33,7 @@
 
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
-use esdb_core::{Esdb, EsdbConfig};
+use esdb_core::{Esdb, EsdbConfig, EsdbReader, EsdbWriter};
 use esdb_doc::{CollectionSchema, Document};
 use esdb_telemetry::{json_histogram_counts, lint_prometheus, prometheus_histogram_counts};
 use esdb_workload::{DocGenerator, WriteEvent};
@@ -176,33 +176,28 @@ fn query_sequence(scale: &Scale) -> Vec<String> {
         .collect()
 }
 
-fn run_query_pass(db: &mut Esdb, seq: &[String]) -> Vec<u64> {
+fn run_query_pass(rd: &EsdbReader, seq: &[String]) -> Vec<u64> {
     let mut fingerprint = Vec::new();
     for sql in seq {
-        let rows = db.query(sql).expect("query");
+        let rows = rd.query(sql).expect("query");
         fingerprint.push(rows.docs.len() as u64);
         fingerprint.extend(rows.docs.iter().map(|d| d.record_id.raw()));
     }
     fingerprint
 }
 
-fn time_query_pass(db: &mut Esdb, seq: &[String]) -> u128 {
+fn time_query_pass(rd: &EsdbReader, seq: &[String]) -> u128 {
     let t0 = Instant::now();
-    black_box(run_query_pass(db, seq));
+    black_box(run_query_pass(rd, seq));
     t0.elapsed().as_nanos()
 }
 
-fn time_write_pass(db: &mut Esdb, docs: &[Document]) -> u128 {
+fn time_write_pass(w: &EsdbWriter, docs: &[Document]) -> u128 {
     let t0 = Instant::now();
     for d in docs {
-        black_box(db.insert(d.clone()).expect("insert row"));
+        black_box(w.insert(d.clone()).expect("insert row"));
     }
     t0.elapsed().as_nanos()
-}
-
-fn median(samples: &mut [u128]) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// Overhead from the median of *paired* chunk ratios. Each pair is the
@@ -231,12 +226,13 @@ fn main() {
 
     let mut on = build(&scale, true);
     let mut off = build(&scale, false);
+    let (w_on, rd_on, w_off, rd_off) = (on.writer(), on.reader(), off.writer(), off.reader());
     let mut rows = RowStream::new(scale.tenants);
 
     // Identical preload.
     for d in rows.batch(scale.preload_rows) {
-        on.insert(d.clone()).expect("insert row");
-        off.insert(d).expect("insert row");
+        w_on.insert(d.clone()).expect("insert row");
+        w_off.insert(d).expect("insert row");
     }
     on.refresh();
     off.refresh();
@@ -257,8 +253,8 @@ fn main() {
     // Untimed warm-up pass: the first writes after a merge pay one-off
     // costs (buffer growth, translog open) that belong to neither arm.
     for d in rows.batch(scale.rows_per_pass) {
-        on.insert(d.clone()).expect("insert row");
-        off.insert(d).expect("insert row");
+        w_on.insert(d.clone()).expect("insert row");
+        w_off.insert(d).expect("insert row");
     }
     on.refresh();
     off.refresh();
@@ -271,12 +267,12 @@ fn main() {
         let mut t_off = 0u128;
         for (c, chunk) in batch.chunks(chunk_rows).enumerate() {
             let (a, b) = if (s + c) % 2 == 0 {
-                let a = time_write_pass(&mut on, chunk);
-                let b = time_write_pass(&mut off, chunk);
+                let a = time_write_pass(&w_on, chunk);
+                let b = time_write_pass(&w_off, chunk);
                 (a, b)
             } else {
-                let b = time_write_pass(&mut off, chunk);
-                let a = time_write_pass(&mut on, chunk);
+                let b = time_write_pass(&w_off, chunk);
+                let a = time_write_pass(&w_on, chunk);
                 (a, b)
             };
             t_on += a;
@@ -292,7 +288,7 @@ fn main() {
     // Determinism gate: telemetry must never change query results.
     let seq = query_sequence(&scale);
     let mut determinism_ok = true;
-    if run_query_pass(&mut on, &seq) != run_query_pass(&mut off, &seq) {
+    if run_query_pass(&rd_on, &seq) != run_query_pass(&rd_off, &seq) {
         eprintln!("DETERMINISM VIOLATION: telemetry-on results diverged from telemetry-off");
         determinism_ok = false;
     }
@@ -312,12 +308,12 @@ fn main() {
         for (c, sql) in seq.iter().enumerate() {
             let q = std::slice::from_ref(sql);
             let (a, b) = if (s + c) % 2 == 0 {
-                let a = time_query_pass(&mut on, q);
-                let b = time_query_pass(&mut off, q);
+                let a = time_query_pass(&rd_on, q);
+                let b = time_query_pass(&rd_off, q);
                 (a, b)
             } else {
-                let b = time_query_pass(&mut off, q);
-                let a = time_query_pass(&mut on, q);
+                let b = time_query_pass(&rd_off, q);
+                let a = time_query_pass(&rd_on, q);
                 (a, b)
             };
             t_on += a;
@@ -330,10 +326,10 @@ fn main() {
 
     let write_overhead = paired_overhead_pct(&write_pairs);
     let query_overhead = paired_overhead_pct(&query_pairs);
-    let write_on_med = median(&mut write_on);
-    let write_off_med = median(&mut write_off);
-    let query_on_med = median(&mut query_on);
-    let query_off_med = median(&mut query_off);
+    let write_on_med = esdb_bench::median(&mut write_on);
+    let write_off_med = esdb_bench::median(&mut write_off);
+    let query_on_med = esdb_bench::median(&mut query_on);
+    let query_off_med = esdb_bench::median(&mut query_off);
 
     // Exposition gates on the enabled instance: the Prometheus text
     // must lint clean, and histogram counts must round-trip identically

@@ -145,11 +145,6 @@ fn run_multi(writer: &EsdbWriter, schedules: &[Vec<Document>]) -> u128 {
     t0.elapsed().as_nanos()
 }
 
-fn median(samples: &mut [u128]) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 /// Hard per-run gates: zero write errors and every issued op counted.
 fn check_conservation(db: &Esdb, issued: u64, label: &str) -> bool {
     let stats = db.stats();
@@ -215,8 +210,8 @@ fn main() {
         }
     }
 
-    let sn = median(&mut single_ns);
-    let mn = median(&mut multi_ns);
+    let sn = esdb_bench::median(&mut single_ns);
+    let mn = esdb_bench::median(&mut multi_ns);
     let single_ops_s = issued as f64 / (sn as f64 / 1e9);
     let multi_ops_s = issued as f64 / (mn as f64 / 1e9);
     let scaling = multi_ops_s / single_ops_s;

@@ -75,6 +75,7 @@ pub fn build_embedded(params: &DatasetParams, dir: PathBuf) -> (Esdb, TraceGener
         params.seed,
     );
     let mut docs = DocGenerator::new(params.n_attrs, params.attrs_per_doc, params.seed);
+    let writer = db.writer();
 
     // Rows spread uniformly over one day.
     let step = DAY_MS / params.n_rows.max(1);
@@ -85,7 +86,7 @@ pub fn build_embedded(params: &DatasetParams, dir: PathBuf) -> (Esdb, TraceGener
                 break;
             }
             ev.created_at = DATASET_T0 + produced * step;
-            db.insert(docs.materialize(&ev)).expect("insert row");
+            writer.insert(docs.materialize(&ev)).expect("insert row");
             produced += 1;
         }
     }
@@ -117,6 +118,7 @@ mod tests {
         assert_eq!(db.stats().live_docs, 2_000);
         let top = trace.tenant_of_rank(1);
         let rows = db
+            .reader()
             .query(&format!(
                 "SELECT * FROM transaction_logs WHERE tenant_id = {} LIMIT 100",
                 top.raw()

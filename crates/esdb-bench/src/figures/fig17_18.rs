@@ -31,7 +31,7 @@ struct LatencyRun {
 /// (A/B then B/A per query) so cache warm-up cannot bias either side.
 /// Returns `(with_optimizer, naive)`.
 fn run_queries_ab(
-    db: &mut esdb_core::Esdb,
+    rd: &esdb_core::EsdbReader,
     tenants: &[TenantId],
     queries_per_tenant: usize,
     with_attr: bool,
@@ -57,9 +57,9 @@ fn run_queries_ab(
             all_us: Vec::new(),
         },
     );
-    let time_one = |db: &mut esdb_core::Esdb, sql: &str, o: QueryOptions| -> f64 {
+    let time_one = |sql: &str, o: QueryOptions| -> f64 {
         let start = Instant::now();
-        let rows = db.query_opts(sql, o).expect("query");
+        let rows = rd.query_opts(sql, o).expect("query");
         std::hint::black_box(rows.docs.len());
         start.elapsed().as_secs_f64() * 1e6
     };
@@ -71,15 +71,15 @@ fn run_queries_ab(
             let sql = generator.generate(tenant, from, to);
             // Untimed warm-up of both paths, then timed runs in
             // alternating order.
-            let _ = time_one(db, &sql, opt);
-            let _ = time_one(db, &sql, naive);
+            let _ = time_one(&sql, opt);
+            let _ = time_one(&sql, naive);
             let (o_us, n_us) = if (qi + q) % 2 == 0 {
-                let o = time_one(db, &sql, opt);
-                let n = time_one(db, &sql, naive);
+                let o = time_one(&sql, opt);
+                let n = time_one(&sql, naive);
                 (o, n)
             } else {
-                let n = time_one(db, &sql, naive);
-                let o = time_one(db, &sql, opt);
+                let n = time_one(&sql, naive);
+                let o = time_one(&sql, opt);
                 (o, n)
             };
             sum_opt += o_us;
@@ -99,7 +99,7 @@ fn run_queries_ab(
 
 /// Times queries under one plan mode (per-query untimed warm-up first).
 fn run_queries(
-    db: &mut esdb_core::Esdb,
+    rd: &esdb_core::EsdbReader,
     tenants: &[TenantId],
     queries_per_tenant: usize,
     attr_probe: bool,
@@ -119,9 +119,9 @@ fn run_queries(
             } else {
                 generator.generate(tenant, from, to)
             };
-            let _ = db.query_opts(&sql, opts).expect("warmup");
+            let _ = rd.query_opts(&sql, opts).expect("warmup");
             let start = Instant::now();
-            let rows = db.query_opts(&sql, opts).expect("query");
+            let rows = rd.query_opts(&sql, opts).expect("query");
             let us = start.elapsed().as_secs_f64() * 1e6;
             std::hint::black_box(rows.docs.len());
             sum += us;
@@ -170,7 +170,7 @@ pub fn run(quick: bool) {
         params.n_rows, params.n_tenants
     );
     let dir = std::env::temp_dir().join("esdb-fig17");
-    let (mut db, trace) = build_embedded(&params, dir);
+    let (db, trace) = build_embedded(&params, dir);
     let tenants: Vec<TenantId> = (1..=n_top).map(|r| trace.tenant_of_rank(r)).collect();
 
     // ---- Figure 17: optimizer on/off -------------------------------
@@ -178,7 +178,7 @@ pub fn run(quick: bool) {
         "  fig 17: running {} queries x {} tenants x 2 plans ...",
         qpt, n_top
     );
-    let (opt, naive) = run_queries_ab(&mut db, &tenants, qpt, false, 1);
+    let (opt, naive) = run_queries_ab(&db.reader(), &tenants, qpt, false, 1);
     println!("\nFig 17(a) mean query latency per tenant rank (ms)");
     let mut t = Table::new(&["tenant rank", "no optimizer", "with optimizer", "speedup"]);
     for (i, rank) in [1usize, 2, 5, 10, 20, 50, n_top].iter().enumerate() {
@@ -208,7 +208,7 @@ pub fn run(quick: bool) {
     eprintln!("  fig 18: rebuilding dataset without sub-attribute indexes ...");
     let with_idx_size = db.stats().size_bytes;
     let with_attr_on = run_queries(
-        &mut db,
+        &db.reader(),
         &tenants,
         qpt,
         true,
@@ -222,10 +222,10 @@ pub fn run(quick: bool) {
     let mut params_noidx = params.clone();
     params_noidx.attr_top_k = 0;
     let dir = std::env::temp_dir().join("esdb-fig18");
-    let (mut db_noidx, _) = build_embedded(&params_noidx, dir);
+    let (db_noidx, _) = build_embedded(&params_noidx, dir);
     let no_idx_size = db_noidx.stats().size_bytes;
     let with_attr_off = run_queries(
-        &mut db_noidx,
+        &db_noidx.reader(),
         &tenants,
         qpt,
         true,

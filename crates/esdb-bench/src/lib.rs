@@ -20,6 +20,13 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Median of timing samples (sorts in place; the upper middle for an
+/// even count).
+pub fn median(samples: &mut [u128]) -> u128 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
 /// Whether a full-mode run is degraded by a single-core host. Benches
 /// mark their JSON with `"degraded_single_core": true` and warn on
 /// stderr; parallelism-dependent gates must downgrade to report-only.

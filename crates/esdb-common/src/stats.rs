@@ -37,17 +37,6 @@ impl RejectedCounts {
     pub fn total(&self) -> u64 {
         self.auth + self.quota + self.rate + self.shed
     }
-
-    /// Per-reason difference `self - base`, saturating at zero (delta
-    /// snapshots over monotone counters).
-    pub fn saturating_sub(&self, base: &RejectedCounts) -> RejectedCounts {
-        RejectedCounts {
-            auth: self.auth.saturating_sub(base.auth),
-            quota: self.quota.saturating_sub(base.quota),
-            rate: self.rate.saturating_sub(base.rate),
-            shed: self.shed.saturating_sub(base.shed),
-        }
-    }
 }
 
 /// Online mean/variance accumulator (Welford's algorithm).

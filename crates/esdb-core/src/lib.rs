@@ -19,28 +19,41 @@
 //!     CollectionSchema::transaction_logs(),
 //!     EsdbConfig::new("/tmp/esdb-demo"),
 //! ).unwrap();
-//! db.insert(
+//! // The data plane is two clone-able handles; `Esdb` keeps lifecycle,
+//! // maintenance and admin.
+//! let (writer, reader) = (db.writer(), db.reader());
+//! writer.insert(
 //!     Document::builder(TenantId(10086), RecordId(1), 1_000)
 //!         .field("status", 1i64)
 //!         .field("auction_title", "rust in action hardcover")
 //!         .build(),
 //! ).unwrap();
 //! db.refresh();
-//! let rows = db.query(
+//! let rows = reader.query(
 //!     "SELECT * FROM transaction_logs WHERE tenant_id = 10086 AND status = 1 LIMIT 10",
 //! ).unwrap();
 //! assert_eq!(rows.docs.len(), 1);
 //! ```
 
 mod batcher;
+mod config;
+mod coordinator;
 mod db;
 mod migrate;
+mod read;
+mod stats;
+mod testkit;
+mod write;
 
 pub use batcher::WriteBatcher;
-pub use db::{BatchApplied, Esdb, EsdbConfig, EsdbReader, EsdbStats, EsdbWriter, RoutingMode};
+pub use config::{EsdbConfig, RoutingMode};
+pub use db::Esdb;
 pub use migrate::{
     statuses_to_json as migration_statuses_to_json, MigrationPhase, MigrationStatus,
 };
+pub use read::EsdbReader;
+pub use stats::EsdbStats;
+pub use write::{BatchApplied, EsdbWriter};
 
 // The layered crates, re-exported so applications can depend on
 // `esdb-core` alone.

@@ -35,8 +35,8 @@
 //! This module owns the concurrency primitives — the write-permit
 //! barrier, the reader fence, the migration version used for query
 //! retry — and the durable `rules.log` that makes rule commits and
-//! cutovers crash-safe. The engine-touching step logic lives in
-//! `db.rs`, which has the shards.
+//! cutovers crash-safe. The engine-touching step logic lives next door
+//! in `coordinator.rs`.
 
 use esdb_common::{EsdbError, Result, TenantId, TimestampMs};
 use esdb_doc::WriteOp;
@@ -142,7 +142,8 @@ pub fn statuses_to_json(statuses: &[MigrationStatus]) -> String {
 }
 
 /// One live migration's coordinator state. Fields are crate-visible:
-/// the step logic in `db.rs` mutates entries under the table lock.
+/// the step logic in `coordinator.rs` mutates entries under the table
+/// lock ([`MigrationTable::with_active`]).
 pub(crate) struct MigrationEntry {
     pub tenant: TenantId,
     pub old_span: u32,
@@ -205,6 +206,21 @@ impl Drop for WritePermit<'_> {
     }
 }
 
+/// RAII cutover window: while one is held the write barrier is closed
+/// and readers wait. Dropping it bumps the migration version (so a read
+/// that overlapped the window retries) and lowers the gate — the one
+/// exit every path out of a cutover takes.
+pub(crate) struct CutoverWindow<'a> {
+    table: &'a MigrationTable,
+}
+
+impl Drop for CutoverWindow<'_> {
+    fn drop(&mut self) {
+        self.table.bump_version();
+        self.table.gate.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// Shared migration table: the entries plus the atomics the write and
 /// read hot paths check. With no migration active every check is a
 /// single relaxed-ish atomic load.
@@ -256,14 +272,9 @@ impl MigrationTable {
         self.active.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Whether any migration is active (one atomic load — the write
-    /// path's capture-hook gate).
+    /// Count of active migrations: the `esdb_migrations_active` gauge,
+    /// and — one atomic load — the write path's capture-hook gate.
     #[inline]
-    pub(crate) fn any_active(&self) -> bool {
-        self.active.load(Ordering::Acquire) > 0
-    }
-
-    /// Count of active migrations (the `esdb_migrations_active` gauge).
     pub(crate) fn active_count(&self) -> u64 {
         self.active.load(Ordering::Acquire)
     }
@@ -271,17 +282,15 @@ impl MigrationTable {
     /// Acquires a write permit, blocking while a cutover is switching
     /// placements. Fast path: one load (gate) + one RMW (permit count).
     pub(crate) fn begin_write(&self) -> WritePermit<'_> {
-        while self.gate.load(Ordering::Acquire) > 0 {
-            std::thread::yield_now();
-        }
+        self.wait_gate_open();
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         WritePermit { table: self }
     }
 
-    /// Blocks readers while a cutover is mid-switch. Fast path: one
-    /// atomic load.
+    /// Blocks while a cutover is mid-switch — readers before they route,
+    /// writers before they take a permit. Fast path: one atomic load.
     #[inline]
-    pub(crate) fn wait_read_stable(&self) {
+    pub(crate) fn wait_gate_open(&self) {
         while self.gate.load(Ordering::Acquire) > 0 {
             std::thread::yield_now();
         }
@@ -298,18 +307,17 @@ impl MigrationTable {
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Raises the cutover gate and waits until every in-flight write
-    /// permit drains. On return no write is between routing and apply.
-    pub(crate) fn close_write_barrier(&self) {
+    /// Raises the cutover gate, waits until every in-flight write
+    /// permit drains, and bumps the migration version. On return no
+    /// write is between routing and apply; the returned window reopens
+    /// the barrier when dropped.
+    pub(crate) fn close_write_barrier(&self) -> CutoverWindow<'_> {
         self.gate.fetch_add(1, Ordering::AcqRel);
         while self.in_flight.load(Ordering::Acquire) > 0 {
             std::thread::yield_now();
         }
-    }
-
-    /// Lowers the cutover gate, releasing writers and readers.
-    pub(crate) fn open_write_barrier(&self) {
-        self.gate.fetch_sub(1, Ordering::AcqRel);
+        self.bump_version();
+        CutoverWindow { table: self }
     }
 
     /// Marks one entry terminal, decrementing the active count.
@@ -353,9 +361,20 @@ impl MigrationTable {
         self.entries.lock().iter().map(|e| e.status()).collect()
     }
 
-    /// Locked access to the entries, for the coordinator step logic.
-    pub(crate) fn entries(&self) -> parking_lot::MutexGuard<'_, Vec<MigrationEntry>> {
-        self.entries.lock()
+    /// Runs `f` on `tenant`'s active entry under the table lock — the
+    /// coordinator's one way to read or advance a migration. `None` when
+    /// the tenant has no active migration. `f` must not touch an engine:
+    /// the write path's capture hook takes the same lock.
+    pub(crate) fn with_active<R>(
+        &self,
+        tenant: TenantId,
+        f: impl FnOnce(&mut MigrationEntry) -> R,
+    ) -> Option<R> {
+        self.entries
+            .lock()
+            .iter_mut()
+            .find(|e| e.tenant == tenant && e.phase.is_active())
+            .map(f)
     }
 }
 
@@ -526,10 +545,7 @@ mod tests {
         drop(p1);
         let t = std::thread::spawn({
             let table: &'static MigrationTable = unsafe { std::mem::transmute(&table) };
-            move || {
-                table.close_write_barrier();
-                table.open_write_barrier();
-            }
+            move || drop(table.close_write_barrier())
         });
         // The barrier cannot close while p2 is held.
         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -18,6 +18,9 @@ fn main() {
     // frequency-based indexing over the "attributes" column.
     let mut db =
         Esdb::open(CollectionSchema::transaction_logs(), EsdbConfig::new(&dir)).expect("open esdb");
+    // Data goes through two clone-able handles (hand them to as many
+    // threads as you like); `db` keeps lifecycle, maintenance and admin.
+    let (writer, reader) = (db.writer(), db.reader());
 
     // A bookstore's day of sales.
     let day = 1_631_750_400_000u64; // 2021-09-16 00:00:00
@@ -30,30 +33,32 @@ fn main() {
     ];
     for (i, title) in titles.iter().enumerate() {
         let r = i as u64;
-        db.insert(
-            Document::builder(TenantId(10086), RecordId(r), day + r * 3_600_000)
-                .field("status", (r % 2) as i64)
-                .field("group", 666i64)
-                .field("amount", FieldValue::Float(59.0 + r as f64 * 10.0))
-                .field("province", "zhejiang")
-                .field("auction_title", *title)
-                .attr("activity", "back-to-school")
-                .attr(
-                    "binding",
-                    if r % 2 == 0 { "hardcover" } else { "paperback" },
-                )
+        writer
+            .insert(
+                Document::builder(TenantId(10086), RecordId(r), day + r * 3_600_000)
+                    .field("status", (r % 2) as i64)
+                    .field("group", 666i64)
+                    .field("amount", FieldValue::Float(59.0 + r as f64 * 10.0))
+                    .field("province", "zhejiang")
+                    .field("auction_title", *title)
+                    .attr("activity", "back-to-school")
+                    .attr(
+                        "binding",
+                        if r % 2 == 0 { "hardcover" } else { "paperback" },
+                    )
+                    .build(),
+            )
+            .expect("insert");
+    }
+    // Another seller, so we can see tenant isolation.
+    writer
+        .insert(
+            Document::builder(TenantId(20000), RecordId(100), day)
+                .field("status", 1i64)
+                .field("auction_title", "rust keychain")
                 .build(),
         )
         .expect("insert");
-    }
-    // Another seller, so we can see tenant isolation.
-    db.insert(
-        Document::builder(TenantId(20000), RecordId(100), day)
-            .field("status", 1i64)
-            .field("auction_title", "rust keychain")
-            .build(),
-    )
-    .expect("insert");
 
     // Writes become searchable at refresh (near-real-time search).
     db.refresh();
@@ -66,7 +71,7 @@ fn main() {
                AND created_time <= '2021-09-17 00:00:00' \
                AND status = 1 OR group = 666 \
                ORDER BY created_time ASC LIMIT 100";
-    let rows = db.query(sql).expect("query");
+    let rows = reader.query(sql).expect("query");
     println!("Fig.6-style query returned {} rows:", rows.docs.len());
     for d in &rows.docs {
         println!(
@@ -78,7 +83,7 @@ fn main() {
     }
 
     // Full-text search over the analyzed title column.
-    let rows = db
+    let rows = reader
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 10086 AND MATCH(auction_title, 'rust')")
         .expect("match query");
     println!(
@@ -87,17 +92,18 @@ fn main() {
     );
 
     // Sub-attribute search (the 1500-sub-attribute "attributes" column).
-    let rows = db
+    let rows = reader
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 10086 AND ATTR('binding') = 'hardcover'")
         .expect("attr query");
     println!("hardcover bindings: {} rows", rows.docs.len());
 
     // Durability: flush segments + roll the translog, then reopen.
     db.flush().expect("flush");
-    drop(db);
+    drop((db, writer, reader));
     let db =
         Esdb::open(CollectionSchema::transaction_logs(), EsdbConfig::new(&dir)).expect("reopen");
     let rows = db
+        .reader()
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 10086")
         .expect("query after reopen");
     println!(

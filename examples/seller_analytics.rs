@@ -18,6 +18,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut db =
         Esdb::open(CollectionSchema::transaction_logs(), EsdbConfig::new(&dir)).expect("open");
+    let (writer, reader) = (db.writer(), db.reader());
 
     // Load a Zipf-skewed day of trade: 40k rows, 500 sellers.
     let mut trace = TraceGenerator::new(500, 1.0, RateSchedule::constant(40_000.0), 7);
@@ -27,7 +28,7 @@ fn main() {
         let mut e = ev;
         // Spread creation times over 24h for interesting time predicates.
         e.created_at = day0 + (ev.record.raw() * 2_160) % 86_400_000;
-        db.insert(docs.materialize(&e)).expect("insert");
+        writer.insert(docs.materialize(&e)).expect("insert");
     }
     db.refresh();
     println!(
@@ -46,7 +47,7 @@ fn main() {
          AND status = 1",
         top_seller.raw()
     );
-    let rows = db.query(&sql).expect("query");
+    let rows = reader.query(&sql).expect("query");
     println!("completed transactions 06:00-18:00: {}", rows.docs.len());
 
     // 2. Full-text: find orders whose title mentions 'rust book'.
@@ -55,7 +56,7 @@ fn main() {
          AND MATCH(auction_title, 'rust book') LIMIT 100",
         top_seller.raw()
     );
-    let rows = db.query(&sql).expect("match");
+    let rows = reader.query(&sql).expect("match");
     println!("'rust book' orders: {}", rows.docs.len());
 
     // 3. Sub-attribute filter: the hottest of the 1500 attributes.
@@ -64,7 +65,7 @@ fn main() {
          AND ATTR('attr_0001') = 'v3' LIMIT 100",
         top_seller.raw()
     );
-    let rows = db.query(&sql).expect("attr");
+    let rows = reader.query(&sql).expect("attr");
     println!("attr_0001=v3 orders: {}", rows.docs.len());
 
     // 4. Aggregations via the coordinator-side aggregator.
@@ -72,7 +73,7 @@ fn main() {
         "SELECT * FROM transaction_logs WHERE tenant_id = {}",
         top_seller.raw()
     );
-    let rows = db.query(&sql).expect("all");
+    let rows = reader.query(&sql).expect("all");
     let count = aggregate(&rows.docs, &AggFunc::Count);
     let total = aggregate(&rows.docs, &AggFunc::Sum("amount".into()));
     let avg = aggregate(&rows.docs, &AggFunc::Avg("amount".into()));
@@ -88,7 +89,7 @@ fn main() {
         top_seller.raw()
     );
     let t0 = std::time::Instant::now();
-    let opt = db
+    let opt = reader
         .query_opts(
             &sql,
             QueryOptions {
@@ -99,7 +100,7 @@ fn main() {
         .expect("opt");
     let t_opt = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let naive = db
+    let naive = reader
         .query_opts(
             &sql,
             QueryOptions {

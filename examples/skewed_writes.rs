@@ -27,19 +27,21 @@ fn run(mode: RoutingMode, label: &str) {
         clock.clone(),
     )
     .expect("open");
+    let (writer, reader) = (db.writer(), db.reader());
 
     let zipf = ZipfSampler::new(N_TENANTS, THETA);
     let mut rng = StdRng::seed_from_u64(11);
     for r in 0..N_WRITES {
         let rank = zipf.sample(&mut rng);
         let t = clock.now();
-        db.insert(
-            Document::builder(TenantId(rank as u64), RecordId(r), t)
-                .field("status", (r % 3) as i64)
-                .field("auction_title", "flash sale widget")
-                .build(),
-        )
-        .expect("insert");
+        writer
+            .insert(
+                Document::builder(TenantId(rank as u64), RecordId(r), t)
+                    .field("status", (r % 3) as i64)
+                    .field("auction_title", "flash sale widget")
+                    .build(),
+            )
+            .expect("insert");
         driver.advance(1); // 1 ms per write
     }
     db.refresh();
@@ -57,7 +59,7 @@ fn run(mode: RoutingMode, label: &str) {
         esdb_common::stats::stddev(&counts.iter().map(|&c| c as f64).collect::<Vec<_>>())
     );
     // Read-your-writes sanity: the hot tenant sees every one of its rows.
-    let rows = db
+    let rows = reader
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 1")
         .expect("query");
     println!("  hot tenant rows visible: {}", rows.docs.len());

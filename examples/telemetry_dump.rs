@@ -30,31 +30,35 @@ fn main() {
             }),
     )
     .expect("open esdb");
+    let (writer, reader) = (db.writer(), db.reader());
 
     // A hot tenant (10086) and a tail of cold ones — the paper's skew.
     let day = 1_631_750_400_000u64;
     for r in 0..400u64 {
         let tenant = if r % 10 < 8 { 10086 } else { 20_000 + r };
-        db.insert(
-            Document::builder(TenantId(tenant), RecordId(r), day + r * 1_000)
-                .field("status", (r % 2) as i64)
-                .field("group", (r % 5) as i64)
-                .field("auction_title", format!("auction item {r}"))
-                .build(),
-        )
-        .expect("insert");
+        writer
+            .insert(
+                Document::builder(TenantId(tenant), RecordId(r), day + r * 1_000)
+                    .field("status", (r % 2) as i64)
+                    .field("group", (r % 5) as i64)
+                    .field("auction_title", format!("auction item {r}"))
+                    .build(),
+            )
+            .expect("insert");
     }
     db.refresh();
 
     for _ in 0..3 {
-        db.query(
-            "SELECT * FROM transaction_logs WHERE tenant_id = 10086 AND status = 1 \
+        reader
+            .query(
+                "SELECT * FROM transaction_logs WHERE tenant_id = 10086 AND status = 1 \
              ORDER BY created_time DESC LIMIT 20",
-        )
-        .expect("query");
+            )
+            .expect("query");
     }
     // Tenantless fan-out: touches every shard, including near-empty ones.
-    db.query("SELECT * FROM transaction_logs WHERE status = 0")
+    reader
+        .query("SELECT * FROM transaction_logs WHERE status = 0")
         .expect("query");
 
     let snapshot = db.telemetry_snapshot();

@@ -118,6 +118,7 @@ proptest! {
             EsdbConfig::new(tmpdir(seed)).shards(3).parallelism(1),
         )
         .unwrap();
+        let (w, rd) = (db.writer(), db.reader());
         let mut written: Vec<(u64, u64, u64)> = Vec::new();
         let mut next_record = 0u64;
         for op in &ops {
@@ -126,7 +127,7 @@ proptest! {
                     let record = next_record;
                     next_record += 1;
                     let created = 10_000 + record;
-                    db.insert(
+                    w.insert(
                         Document::builder(TenantId(*tenant), RecordId(record), created)
                             .field("status", *status)
                             .field("group", *group)
@@ -141,7 +142,7 @@ proptest! {
                 Op::Delete(i) => {
                     if !written.is_empty() {
                         let (tenant, record, created) = written[i % written.len()];
-                        db.delete(TenantId(tenant), RecordId(record), created).unwrap();
+                        w.delete(TenantId(tenant), RecordId(record), created).unwrap();
                     }
                 }
                 Op::Refresh => db.refresh(),
@@ -152,16 +153,16 @@ proptest! {
         // End-to-end row identity: the dispatcher's block path against the
         // scalar executor on the same published snapshots.
         for sql in FILTER_SQLS {
-            let block = db.query(sql).unwrap();
-            let scalar = db.query_opts(sql, scalar_opts()).unwrap();
+            let block = rd.query(sql).unwrap();
+            let scalar = rd.query_opts(sql, scalar_opts()).unwrap();
             prop_assert_eq!(&block.docs, &scalar.docs, "row divergence on {}", sql);
         }
 
         // Aggregate identity: pushdown partials vs the materialize-then-
         // aggregate oracle, and zero stored-payload reads under pushdown.
         for sql in AGG_SQLS {
-            let pushed = db.aggregate(sql).unwrap();
-            let oracle = db.aggregate_opts(sql, scalar_opts()).unwrap();
+            let pushed = rd.aggregate(sql).unwrap();
+            let oracle = rd.aggregate_opts(sql, scalar_opts()).unwrap();
             prop_assert_eq!(
                 pushed.rows.len(),
                 oracle.rows.len(),

@@ -76,12 +76,13 @@ fn arb_schedule() -> impl Strategy<Value = Vec<(u64, OpKind)>> {
 /// Every visible row as `(tenant, record, status)`, sorted — the
 /// byte-comparable image of the searchable state.
 fn visible_rows(db: &Esdb) -> Vec<(u64, u64, i64)> {
+    let rd = db.reader();
     let mut rows = Vec::new();
     for t in 1..=8u64 {
         let sql = format!(
             "SELECT * FROM transaction_logs WHERE tenant_id = {t} ORDER BY created_time ASC"
         );
-        for d in db.query(&sql).expect("visible-rows query").docs.iter() {
+        for d in rd.query(&sql).expect("visible-rows query").docs.iter() {
             let status = match d.get("status") {
                 Some(FieldValue::Int(s)) => s,
                 other => panic!("status field missing or non-int: {other:?}"),
@@ -131,9 +132,10 @@ proptest! {
         prop_assert_eq!(stats.writes, total_ops as u64);
 
         let mut oracle = open("single-oracle");
+        let w_oracle = oracle.writer();
         for (t, sched) in schedules.iter().enumerate() {
             for (off, kind) in sched {
-                oracle.write(op_for(t as u64 * STRIDE + off, kind)).expect("oracle write");
+                w_oracle.write(op_for(t as u64 * STRIDE + off, kind)).expect("oracle write");
             }
         }
         db.refresh();
@@ -165,13 +167,14 @@ proptest! {
             }
         });
         let mut oracle = open("batch-oracle");
+        let w_oracle = oracle.writer();
         for (t, sched) in schedules.iter().enumerate() {
             for chunk in sched.chunks(16) {
                 let mut batcher = WriteBatcher::new();
                 for (off, kind) in chunk {
                     batcher.push(op_for(t as u64 * STRIDE + off, kind));
                 }
-                oracle.write_batch(&mut batcher).expect("oracle batch");
+                w_oracle.write_batch(&mut batcher).expect("oracle batch");
             }
         }
         prop_assert_eq!(db.stats().write_errors, 0);
@@ -197,6 +200,7 @@ fn no_acknowledged_write_lost_under_injected_faults() {
             .write_fault(injector.clone()),
     )
     .expect("open");
+    let rd = db.reader();
 
     let mut acked: Vec<u64> = Vec::new();
     let mut failed = 0u64;
@@ -236,7 +240,7 @@ fn no_acknowledged_write_lost_under_injected_faults() {
     db.refresh();
     for &rid in &acked {
         assert!(
-            db.get(TenantId(tenant_for(rid)), RecordId(rid), 1_000 + rid)
+            rd.get(TenantId(tenant_for(rid)), RecordId(rid), 1_000 + rid)
                 .is_some(),
             "acknowledged write of record {rid} was lost"
         );
@@ -326,6 +330,7 @@ fn group_commit_telemetry_accounts_every_op_and_lints() {
             .write_fault(Arc::new(TearLongFrames { min_len: 4_096 })),
     )
     .expect("open");
+    let rd = db.reader();
     let small = |rid: u64| {
         Document::builder(TenantId(1), RecordId(rid), 1_000 + rid)
             .field("status", (rid % 3) as i64)
@@ -380,7 +385,7 @@ fn group_commit_telemetry_accounts_every_op_and_lints() {
         for i in 0..BATCH_OPS {
             let rid = b * BATCH_OPS + i;
             assert_eq!(
-                db.get(TenantId(1), RecordId(rid), 1_000 + rid).is_some(),
+                rd.get(TenantId(1), RecordId(rid), 1_000 + rid).is_some(),
                 i < FAULT_AT,
                 "batch {b} op {i}: only the prefix before the fault applies"
             );

@@ -22,18 +22,19 @@ fn mixed_flush_and_wal_recovery() {
             EsdbConfig::new(&dir).shards(4),
         )
         .expect("open");
+        let w = db.writer();
         // First 300 rows flushed to segment files.
         for r in 0..300 {
-            db.insert(doc(r % 10, r, 1_000 + r)).expect("insert");
+            w.insert(doc(r % 10, r, 1_000 + r)).expect("insert");
         }
         db.flush().expect("flush");
         // Next 200 rows only in the translogs, plus some deletes of
         // flushed rows; then "crash" (drop without flushing).
         for r in 300..500 {
-            db.insert(doc(r % 10, r, 1_000 + r)).expect("insert");
+            w.insert(doc(r % 10, r, 1_000 + r)).expect("insert");
         }
         for r in 0..20 {
-            db.delete(TenantId(r % 10), RecordId(r), 1_000 + r)
+            w.delete(TenantId(r % 10), RecordId(r), 1_000 + r)
                 .expect("delete");
         }
     }
@@ -42,15 +43,16 @@ fn mixed_flush_and_wal_recovery() {
         EsdbConfig::new(&dir).shards(4),
     )
     .expect("recover");
+    let rd = db.reader();
     db.refresh();
     assert_eq!(db.stats().live_docs, 500 - 20);
     // A specific WAL-only record.
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE record_id = 450")
         .expect("query");
     assert_eq!(rows.docs.len(), 1);
     // A deleted record stays deleted.
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE record_id = 5")
         .expect("query");
     assert!(rows.docs.is_empty());
@@ -66,10 +68,11 @@ fn repeated_crash_cycles_converge() {
             EsdbConfig::new(&dir).shards(2),
         )
         .expect("open");
+        let w = db.writer();
         db.refresh();
         assert_eq!(db.stats().live_docs as u64, expected, "cycle {cycle}");
         for r in 0..50 {
-            db.insert(doc(1, cycle * 50 + r, 1_000 + cycle * 50 + r))
+            w.insert(doc(1, cycle * 50 + r, 1_000 + cycle * 50 + r))
                 .expect("insert");
         }
         expected += 50;
@@ -83,9 +86,10 @@ fn repeated_crash_cycles_converge() {
         EsdbConfig::new(&dir).shards(2),
     )
     .expect("final open");
+    let rd = db.reader();
     db.refresh();
     assert_eq!(db.stats().live_docs as u64, expected);
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 1")
         .expect("query");
     assert_eq!(rows.docs.len() as u64, expected);

@@ -31,6 +31,7 @@ fn skewed_workload_full_pipeline() {
         clock.clone(),
     )
     .expect("open");
+    let (w, rd) = (db.writer(), db.reader());
 
     // 20K writes from 500 tenants, Zipf(1.2): heavy skew.
     let zipf = ZipfSampler::new(500, 1.2);
@@ -39,7 +40,7 @@ fn skewed_workload_full_pipeline() {
     for r in 0..20_000u64 {
         let tenant = zipf.sample(&mut rng) as u64;
         *per_tenant.entry(tenant).or_insert(0) += 1;
-        db.insert(doc(tenant, r, clock.now())).expect("insert");
+        w.insert(doc(tenant, r, clock.now())).expect("insert");
         driver.advance(1);
     }
     db.refresh();
@@ -51,7 +52,7 @@ fn skewed_workload_full_pipeline() {
     // Every tenant's data is fully visible (read-your-writes across all
     // the rule changes that happened mid-stream).
     for (&tenant, &count) in per_tenant.iter().take(50) {
-        let rows = db
+        let rows = rd
             .query(&format!(
                 "SELECT * FROM transaction_logs WHERE tenant_id = {tenant}"
             ))
@@ -76,16 +77,17 @@ fn updates_and_deletes_survive_rebalancing() {
         clock.clone(),
     )
     .expect("open");
+    let (w, rd) = (db.writer(), db.reader());
 
     // Hot tenant 7 gets split mid-run; record 0..100 created pre-split.
     let mut created: Vec<u64> = Vec::new();
     for r in 0..100u64 {
         created.push(clock.now());
-        db.insert(doc(7, r, clock.now())).expect("insert");
+        w.insert(doc(7, r, clock.now())).expect("insert");
         driver.advance(1);
     }
     for r in 100..6_000u64 {
-        db.insert(doc(7, r, clock.now())).expect("insert");
+        w.insert(doc(7, r, clock.now())).expect("insert");
         driver.advance(1);
     }
     db.rebalance();
@@ -94,7 +96,7 @@ fn updates_and_deletes_survive_rebalancing() {
 
     // Update half of the pre-split records, delete the other half.
     for r in 0..50u64 {
-        db.update(
+        w.update(
             Document::builder(TenantId(7), RecordId(r), created[r as usize])
                 .field("status", 99i64)
                 .build(),
@@ -102,12 +104,12 @@ fn updates_and_deletes_survive_rebalancing() {
         .expect("update");
     }
     for r in 50..100u64 {
-        db.delete(TenantId(7), RecordId(r), created[r as usize])
+        w.delete(TenantId(7), RecordId(r), created[r as usize])
             .expect("delete");
     }
     db.refresh();
 
-    let updated = db
+    let updated = rd
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 7 AND status = 99")
         .expect("query");
     assert_eq!(
@@ -116,7 +118,7 @@ fn updates_and_deletes_survive_rebalancing() {
         "updates must hit the original shards"
     );
     for r in 50..100u64 {
-        let rows = db
+        let rows = rd
             .query(&format!(
                 "SELECT * FROM transaction_logs WHERE tenant_id = 7 AND record_id = {r}"
             ))
@@ -144,11 +146,12 @@ fn all_routing_modes_agree_on_query_results() {
                 .routing(mode),
         )
         .expect("open");
+        let (w, rd) = (db.writer(), db.reader());
         for r in 0..500u64 {
-            db.insert(doc(r % 20, r, 1_000 + r)).expect("insert");
+            w.insert(doc(r % 20, r, 1_000 + r)).expect("insert");
         }
         db.refresh();
-        let rows = db
+        let rows = rd
             .query(
                 "SELECT * FROM transaction_logs WHERE tenant_id = 3 AND status = 0 \
                  ORDER BY created_time ASC",
@@ -169,19 +172,20 @@ fn full_text_and_attributes_end_to_end() {
         EsdbConfig::new(test_dir("e2e-fts")).shards(4),
     )
     .expect("open");
+    let (w, rd) = (db.writer(), db.reader());
     for r in 0..200u64 {
-        db.insert(doc(1, r, 1_000 + r)).expect("insert");
+        w.insert(doc(1, r, 1_000 + r)).expect("insert");
     }
     db.refresh();
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE MATCH(auction_title, 'item tenant')")
         .expect("match");
     assert_eq!(rows.docs.len(), 200);
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE ATTR('activity') = '1111'")
         .expect("attr");
     assert_eq!(rows.docs.len(), 100);
-    let rows = db
+    let rows = rd
         .query(
             "SELECT * FROM transaction_logs WHERE ATTR('activity') = '618' AND status = 1 LIMIT 10",
         )

@@ -22,6 +22,7 @@ fn workload_batching_end_to_end() {
         EsdbConfig::new(test_dir("facade-batch")).shards(4),
     )
     .expect("open");
+    let (w, rd) = (db.writer(), db.reader());
 
     // A flash-sale row hammered with 100 modifications, plus 9 normal rows.
     let mut batcher = WriteBatcher::new();
@@ -33,7 +34,7 @@ fn workload_batching_end_to_end() {
         batcher.push(WriteOp::insert(doc(r, 0)));
     }
     assert_eq!(batcher.accepted(), 109);
-    let applied = db.write_batch(&mut batcher).expect("batch");
+    let applied = w.write_batch(&mut batcher).expect("batch");
     assert_eq!(
         applied.total, 10,
         "109 client ops collapse to 10 server writes"
@@ -45,7 +46,7 @@ fn workload_batching_end_to_end() {
     );
     db.refresh();
 
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 1")
         .expect("query");
     assert_eq!(rows.docs.len(), 10);
@@ -69,9 +70,10 @@ fn sql_row_mapping_end_to_end() {
         EsdbConfig::new(test_dir("facade-mapping")).shards(2),
     )
     .expect("open");
-    db.insert(doc(5, 1)).expect("insert");
+    let (w, rd) = (db.writer(), db.reader());
+    w.insert(doc(5, 1)).expect("insert");
     db.refresh();
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE record_id = 5")
         .expect("query");
     let row = to_sql_row(&rows.docs[0], &[]);

@@ -189,10 +189,11 @@ fn injected_write_faults_surface_in_stats_and_telemetry() {
             .write_fault(injector.clone()),
     )
     .expect("open");
+    let (w, rd) = (db.writer(), db.reader());
 
     let (mut acked, mut failed) = (0u64, 0u64);
     for r in 0..30u64 {
-        match db.write(WriteOp::insert(doc(1 + r % 3, r))) {
+        match w.write(WriteOp::insert(doc(1 + r % 3, r))) {
             Ok(_) => acked += 1,
             Err(_) => failed += 1,
         }
@@ -213,15 +214,15 @@ fn injected_write_faults_surface_in_stats_and_telemetry() {
         .sum();
     assert_eq!(errors_total, 3, "esdb_write_errors_total must match");
 
-    // Interval deltas reset: a clean interval reports zero new errors.
-    db.take_stats();
-    assert_eq!(db.take_stats().write_errors, 0);
-
+    // An interval is the difference of two `stats()` snapshots: the
+    // fault-free one below must add no errors.
+    let before = db.stats();
     db.refresh();
     let q = "SELECT * FROM transaction_logs WHERE tenant_id = 1 ORDER BY created_time ASC";
-    let rows = db.query(q).expect("query");
+    let rows = rd.query(q).expect("query");
     assert!(
         !rows.docs.is_empty(),
         "acknowledged writes stay searchable after injected faults"
     );
+    assert_eq!(db.stats().write_errors - before.write_errors, 0);
 }

@@ -31,7 +31,8 @@ fn doc(tenant: u64, record: u64, at: u64) -> Document {
 
 /// Writes a skewed corpus (9 of 10 writes on the hot tenant) with
 /// distinct creation times, so ORDER BY comparisons have no ties.
-fn load_skewed(db: &mut Esdb, rows: u64) -> u64 {
+fn load_skewed(db: &Esdb, rows: u64) -> u64 {
+    let w = db.writer();
     let mut hot = 0;
     for r in 0..rows {
         let tenant = if r % 10 < 9 {
@@ -40,7 +41,7 @@ fn load_skewed(db: &mut Esdb, rows: u64) -> u64 {
         } else {
             1_000 + r
         };
-        db.insert(doc(tenant, r, 900_000 + r)).expect("insert");
+        w.insert(doc(tenant, r, 900_000 + r)).expect("insert");
     }
     hot
 }
@@ -76,10 +77,11 @@ fn migration_lifecycle_end_to_end_with_racing_readers() {
         clock,
     )
     .expect("open");
-    let hot_rows = load_skewed(&mut db, 3_000);
+    let rd = db.reader();
+    let hot_rows = load_skewed(&db, 3_000);
     db.refresh();
     let sql = "SELECT * FROM transaction_logs WHERE tenant_id = 777 ORDER BY created_time ASC";
-    let oracle = db.query(sql).expect("oracle").docs;
+    let oracle = rd.query(sql).expect("oracle").docs;
     assert_eq!(oracle.len() as u64, hot_rows);
 
     // Readers hammer the tenant throughout commit, handoff and cutover:
@@ -132,10 +134,10 @@ fn migration_lifecycle_end_to_end_with_racing_readers() {
     }
 
     // Row identity across the cutover, physical collapse, point reads.
-    let after = db.query(sql).expect("after").docs;
+    let after = rd.query(sql).expect("after").docs;
     assert_eq!(oracle, after, "cutover changed query results");
     assert_collapsed(&db, 3_000, rule.offset);
-    assert!(db.get(TenantId(HOT), RecordId(0), 900_000).is_some());
+    assert!(rd.get(TenantId(HOT), RecordId(0), 900_000).is_some());
 
     // Journal causal chain: detection → rule → started → shipped →
     // drained → cutover → completed, each parent-linked to the last.
@@ -194,7 +196,7 @@ fn crash_during_handoff_recovers_every_acked_write_exactly_once() {
             EsdbConfig::new(&dir).shards(SHARDS),
         )
         .expect("open");
-        load_skewed(&mut db, 2_500);
+        load_skewed(&db, 2_500);
         // Rule commits and the handoff ships; the migration is left
         // mid-flight (Draining) when the process dies without flushing.
         db.rebalance();
@@ -212,8 +214,9 @@ fn crash_during_handoff_recovers_every_acked_write_exactly_once() {
         EsdbConfig::new(&dir).shards(SHARDS),
     )
     .expect("recover");
+    let rd = db.reader();
     db.refresh();
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 777 ORDER BY created_time ASC")
         .expect("query")
         .docs;
@@ -243,10 +246,11 @@ fn crash_window_mid_cutover_completes_without_loss_or_duplication() {
             .write_fault(injector.clone()),
     )
     .expect("open");
-    load_skewed(&mut db, 2_500);
+    let rd = db.reader();
+    load_skewed(&db, 2_500);
     db.refresh();
     let sql = "SELECT * FROM transaction_logs WHERE tenant_id = 777 ORDER BY created_time ASC";
-    let oracle = db.query(sql).expect("oracle").docs;
+    let oracle = rd.query(sql).expect("oracle").docs;
     db.rebalance();
     let rule = db.rules_snapshot().last().cloned().expect("rule");
     // Drive with retries: the first cutover attempt dies inside the
@@ -280,7 +284,7 @@ fn crash_window_mid_cutover_completes_without_loss_or_duplication() {
     }
     // Either way: zero lost acked writes, zero duplicates, row identity.
     db.refresh();
-    let after = db.query(sql).expect("after").docs;
+    let after = rd.query(sql).expect("after").docs;
     assert_eq!(oracle, after, "acked rows conserved through the crash");
     for d in &after {
         let h = holders(&db, d.record_id.raw());
@@ -298,7 +302,7 @@ fn admin_migrations_endpoint_exposes_live_state() {
         EsdbConfig::new(test_dir("live-rebalance-admin")).shards(SHARDS),
     )
     .expect("open");
-    load_skewed(&mut db, 2_500);
+    load_skewed(&db, 2_500);
     db.rebalance();
     db.drive_migrations();
     let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");

@@ -468,12 +468,13 @@ fn unsampled_slow_queries_carry_full_span_trees() {
             }),
     )
     .unwrap();
+    let (w, rd) = (db.writer(), db.reader());
     for r in 0..200 {
-        db.insert(doc(1 + r % 5, r, 1_000_000 + r * 700)).unwrap();
+        w.insert(doc(1 + r % 5, r, 1_000_000 + r * 700)).unwrap();
     }
     db.refresh();
     for _ in 0..4 {
-        db.query("SELECT * FROM transaction_logs WHERE tenant_id = 1 AND status = 1 LIMIT 10")
+        rd.query("SELECT * FROM transaction_logs WHERE tenant_id = 1 AND status = 1 LIMIT 10")
             .unwrap();
     }
     let entries = db.slow_queries();
@@ -506,9 +507,10 @@ fn unsampled_slow_queries_carry_full_span_trees() {
             }),
     )
     .unwrap();
-    db_old.insert(doc(1, 1, 1_000_000)).unwrap();
+    let (w_old, rd_old) = (db_old.writer(), db_old.reader());
+    w_old.insert(doc(1, 1, 1_000_000)).unwrap();
     db_old.refresh();
-    db_old
+    rd_old
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 1 LIMIT 5")
         .unwrap();
     let old = db_old.slow_queries();
@@ -524,7 +526,7 @@ fn unsampled_slow_queries_carry_full_span_trees() {
 /// snapshot exposes the log next to the slow queries.
 #[test]
 fn slow_write_log_records_drains() {
-    let mut db = Esdb::open(
+    let db = Esdb::open(
         CollectionSchema::transaction_logs(),
         EsdbConfig::new(tmpdir("slow-write"))
             .shards(2)
@@ -535,11 +537,12 @@ fn slow_write_log_records_drains() {
             }),
     )
     .unwrap();
+    let w = db.writer();
     let mut batcher = WriteBatcher::new();
     for r in 0..40 {
         batcher.push(WriteOp::insert(doc(1 + r % 3, r, 1_000_000 + r)));
     }
-    db.write_batch(&mut batcher).unwrap();
+    w.write_batch(&mut batcher).unwrap();
     let writes = db.slow_writes();
     assert!(!writes.is_empty(), "threshold 0 must log every submission");
     let total_ops: u64 = writes.iter().map(|w| w.ops as u64).sum();
@@ -564,11 +567,12 @@ fn debug_bundle_serializes_state_as_valid_json() {
         EsdbConfig::new(tmpdir("bundle")).shards(2).parallelism(1),
     )
     .unwrap();
+    let (w, rd) = (db.writer(), db.reader());
     for r in 0..120 {
-        db.insert(doc(1 + r % 4, r, 1_000_000 + r * 500)).unwrap();
+        w.insert(doc(1 + r % 4, r, 1_000_000 + r * 500)).unwrap();
     }
     db.refresh();
-    db.query("SELECT * FROM transaction_logs WHERE tenant_id = 1 LIMIT 5")
+    rd.query("SELECT * FROM transaction_logs WHERE tenant_id = 1 LIMIT 5")
         .unwrap();
     let bundle = db.debug_bundle();
     let json = bundle.to_json();

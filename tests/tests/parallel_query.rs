@@ -37,9 +37,10 @@ fn build(name: &str, n_shards: u32, rows: u64) -> Esdb {
             .parallelism(1),
     )
     .expect("open");
+    let w = db.writer();
     for r in 0..rows {
         let tenant = if r % 5 == 4 { 1 + r % 50 } else { HOT };
-        db.insert(doc(tenant, r, T0 + r * 1_000)).expect("insert");
+        w.insert(doc(tenant, r, T0 + r * 1_000)).expect("insert");
     }
     db.refresh();
     db.merge();
@@ -66,11 +67,12 @@ fn fig17_templates_identical_across_parallelism_degrees() {
     );
 
     for sql in &sqls {
+        // A reader handle captures the degree in effect when it is cloned.
         db.set_parallelism(1);
-        let sequential = db.query(sql).expect("sequential");
+        let sequential = db.reader().query(sql).expect("sequential");
         for degree in [2, 4, 16] {
             db.set_parallelism(degree);
-            let parallel = db.query(sql).expect("parallel");
+            let parallel = db.reader().query(sql).expect("parallel");
             assert_eq!(
                 parallel.docs, sequential.docs,
                 "rows diverged at parallelism {degree} for: {sql}"
@@ -93,14 +95,15 @@ fn repeated_parallel_runs_are_stable() {
     // many times at high parallelism returns the same rows every time.
     let mut db = build("par-stable", 16, 3_000);
     db.set_parallelism(8);
+    let rd = db.reader();
     let sql = format!(
         "SELECT * FROM transaction_logs WHERE tenant_id = {HOT} \
          ORDER BY created_time DESC LIMIT 200"
     );
-    let first = db.query(&sql).expect("query");
+    let first = rd.query(&sql).expect("query");
     assert_eq!(first.docs.len(), 200);
     for _ in 0..10 {
-        let again = db.query(&sql).expect("query");
+        let again = rd.query(&sql).expect("query");
         assert_eq!(again.docs, first.docs);
     }
 }
@@ -119,11 +122,12 @@ fn batched_mixed_shard_writes_match_singles() {
         EsdbConfig::new(test_dir("par-batch-a")).shards(8),
     )
     .expect("open");
+    let (w_batched, rd_batched) = (batched.writer(), batched.reader());
     let mut batcher = WriteBatcher::new();
     for op in &ops {
         batcher.push(op.clone());
     }
-    let applied = batched.write_batch(&mut batcher).expect("batch");
+    let applied = w_batched.write_batch(&mut batcher).expect("batch");
     assert_eq!(applied.total, 500);
     let batch_sum: usize = applied.per_shard.iter().map(|(_, n)| n).sum();
     assert_eq!(batch_sum, 500);
@@ -134,8 +138,9 @@ fn batched_mixed_shard_writes_match_singles() {
         EsdbConfig::new(test_dir("par-batch-b")).shards(8),
     )
     .expect("open");
+    let (w_singles, rd_singles) = (singles.writer(), singles.reader());
     for op in ops {
-        singles.write(op).expect("write");
+        w_singles.write(op).expect("write");
     }
 
     batched.refresh();
@@ -147,8 +152,8 @@ fn batched_mixed_shard_writes_match_singles() {
     }
     let sql = "SELECT * FROM transaction_logs WHERE group = 3 ORDER BY created_time ASC";
     assert_eq!(
-        batched.query(sql).expect("q").docs,
-        singles.query(sql).expect("q").docs
+        rd_batched.query(sql).expect("q").docs,
+        rd_singles.query(sql).expect("q").docs
     );
 }
 
@@ -156,8 +161,9 @@ fn batched_mixed_shard_writes_match_singles() {
 fn busy_counters_accumulate_across_span() {
     let mut db = build("par-busy", 8, 2_000);
     db.set_parallelism(4);
+    let rd = db.reader();
     for _ in 0..5 {
-        db.query(&format!(
+        rd.query(&format!(
             "SELECT * FROM transaction_logs WHERE tenant_id = {HOT}"
         ))
         .expect("query");

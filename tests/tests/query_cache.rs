@@ -89,7 +89,9 @@ proptest! {
     #[test]
     fn cache_on_off_equivalence(ops in proptest::collection::vec(arb_op(), 1..60)) {
         let mut on = open("on", true);
+        let (w_on, rd_on) = (on.writer(), on.reader());
         let mut off = open("off", false);
+        let (w_off, rd_off) = (off.writer(), off.reader());
         let mut inserted: Vec<(u64, u64, u64)> = Vec::new();
         let mut next_record = 0u64;
         for op in ops {
@@ -98,8 +100,8 @@ proptest! {
                     let record = next_record;
                     next_record += 1;
                     let at = 10_000 + record * 7;
-                    on.insert(doc(tenant, record, at)).unwrap();
-                    off.insert(doc(tenant, record, at)).unwrap();
+                    w_on.insert(doc(tenant, record, at)).unwrap();
+                    w_off.insert(doc(tenant, record, at)).unwrap();
                     inserted.push((tenant, record, at));
                 }
                 Op::Delete { pick } => {
@@ -107,8 +109,8 @@ proptest! {
                         continue;
                     }
                     let (tenant, record, at) = inserted.swap_remove(pick % inserted.len());
-                    on.delete(TenantId(tenant), RecordId(record), at).unwrap();
-                    off.delete(TenantId(tenant), RecordId(record), at).unwrap();
+                    w_on.delete(TenantId(tenant), RecordId(record), at).unwrap();
+                    w_off.delete(TenantId(tenant), RecordId(record), at).unwrap();
                 }
                 Op::Refresh => {
                     on.refresh();
@@ -121,8 +123,8 @@ proptest! {
                 Op::Query { sql } => {
                     // Run twice so the second execution can hit both tiers.
                     for pass in 0..2 {
-                        let a = on.query(SQLS[sql]).unwrap();
-                        let b = off.query(SQLS[sql]).unwrap();
+                        let a = rd_on.query(SQLS[sql]).unwrap();
+                        let b = rd_off.query(SQLS[sql]).unwrap();
                         prop_assert_eq!(
                             &a.docs, &b.docs,
                             "rows diverged (pass {}) on {}", pass, SQLS[sql]
@@ -133,8 +135,8 @@ proptest! {
         }
         // Final sweep: every probe query agrees on the end state.
         for sql in SQLS {
-            let a = on.query(sql).unwrap();
-            let b = off.query(sql).unwrap();
+            let a = rd_on.query(sql).unwrap();
+            let b = rd_off.query(sql).unwrap();
             prop_assert_eq!(&a.docs, &b.docs, "final rows diverged on {}", sql);
         }
     }
@@ -145,7 +147,9 @@ proptest! {
 #[test]
 fn hot_tenant_cache_survives_tombstones_and_merge() {
     let mut on = open("det-on", true);
+    let (w_on, rd_on) = (on.writer(), on.reader());
     let mut off = open("det-off", false);
+    let (w_off, rd_off) = (off.writer(), off.reader());
     let sql = "SELECT * FROM transaction_logs WHERE tenant_id = 1 AND status = 0 \
                ORDER BY created_time ASC LIMIT 30";
     // Four refresh rounds → enough same-tier segments for the merge
@@ -153,30 +157,42 @@ fn hot_tenant_cache_survives_tombstones_and_merge() {
     for round in 0..4u64 {
         for r in round * 40..(round + 1) * 40 {
             let at = 10_000 + r;
-            on.insert(doc(1, r, at)).unwrap();
-            off.insert(doc(1, r, at)).unwrap();
+            w_on.insert(doc(1, r, at)).unwrap();
+            w_off.insert(doc(1, r, at)).unwrap();
         }
         on.refresh();
         off.refresh();
         // Query every round so cached entries exist before the next
         // mutation batch.
-        assert_eq!(on.query(sql).unwrap().docs, off.query(sql).unwrap().docs);
+        assert_eq!(
+            rd_on.query(sql).unwrap().docs,
+            rd_off.query(sql).unwrap().docs
+        );
     }
     // Tombstones land after caching, without a refresh in between.
     for r in [0u64, 3, 6, 9, 12] {
-        on.delete(TenantId(1), RecordId(r), 10_000 + r).unwrap();
-        off.delete(TenantId(1), RecordId(r), 10_000 + r).unwrap();
+        w_on.delete(TenantId(1), RecordId(r), 10_000 + r).unwrap();
+        w_off.delete(TenantId(1), RecordId(r), 10_000 + r).unwrap();
     }
-    assert_eq!(on.query(sql).unwrap().docs, off.query(sql).unwrap().docs);
+    assert_eq!(
+        rd_on.query(sql).unwrap().docs,
+        rd_off.query(sql).unwrap().docs
+    );
     // Merge retires the old segment ids; a stale id must never serve.
     let merged_on = on.merge();
     let merged_off = off.merge();
     assert_eq!(merged_on, merged_off);
     assert!(merged_on >= 1, "scenario must actually exercise a merge");
-    assert_eq!(on.query(sql).unwrap().docs, off.query(sql).unwrap().docs);
+    assert_eq!(
+        rd_on.query(sql).unwrap().docs,
+        rd_off.query(sql).unwrap().docs
+    );
     // Repeat within one generation: this is the skewed hot path both
     // tiers exist for.
-    assert_eq!(on.query(sql).unwrap().docs, off.query(sql).unwrap().docs);
+    assert_eq!(
+        rd_on.query(sql).unwrap().docs,
+        rd_off.query(sql).unwrap().docs
+    );
     // The enabled instance really cached: it must report activity.
     let s = on.stats();
     assert!(s.request_cache.hits >= 1, "{:?}", s.request_cache);

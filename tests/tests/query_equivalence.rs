@@ -179,19 +179,19 @@ proptest! {
             clock.clone(),
         )
         .expect("open live");
+        let (w_live, rd_live) = (live.writer(), live.reader());
         let mut oracle = Esdb::open_with_clock(
             schema,
             EsdbConfig::new(test_dir(&format!("straddle-oracle-{case}"))).shards(1),
             clock,
         )
         .expect("open oracle");
+        let (w_oracle, rd_oracle) = (oracle.writer(), oracle.reader());
 
         let mut now = 1_000_000u64;
         let mut seq = 0u64;
         let mut alive: Vec<(u64, u64, u64)> = Vec::new();
-        let insert = |live: &mut Esdb,
-                          oracle: &mut Esdb,
-                          now: &mut u64,
+        let insert = |now: &mut u64,
                           seq: &mut u64,
                           alive: &mut Vec<(u64, u64, u64)>,
                           hot: bool,
@@ -204,8 +204,8 @@ proptest! {
             *now += 1;
             let tenant = if hot { 7 } else { 100 + *seq % 3 };
             let d = live_doc(tenant, *seq, *now, status, group);
-            live.insert(d.clone()).expect("live insert");
-            oracle.insert(d).expect("oracle insert");
+            w_live.insert(d.clone()).expect("live insert");
+            w_oracle.insert(d).expect("oracle insert");
             alive.push((tenant, *seq, *now));
             *seq += 1;
         };
@@ -214,8 +214,6 @@ proptest! {
         // minimum so the schedule's Rebalance ops can commit a rule.
         for r in 0..150u64 {
             insert(
-                &mut live,
-                &mut oracle,
                 &mut now,
                 &mut seq,
                 &mut alive,
@@ -228,16 +226,13 @@ proptest! {
         for op in &schedule {
             match *op {
                 LiveOp::Insert { hot, status, group } => {
-                    insert(
-                        &mut live, &mut oracle, &mut now, &mut seq, &mut alive, hot, status,
-                        group,
-                    );
+                    insert(&mut now, &mut seq, &mut alive, hot, status, group);
                 }
                 LiveOp::Delete { pick } => {
                     if !alive.is_empty() {
                         let (t, r, at) = alive.remove(pick % alive.len());
-                        live.delete(TenantId(t), RecordId(r), at).expect("live delete");
-                        oracle
+                        w_live.delete(TenantId(t), RecordId(r), at).expect("live delete");
+                        w_oracle
                             .delete(TenantId(t), RecordId(r), at)
                             .expect("oracle delete");
                     }
@@ -246,16 +241,16 @@ proptest! {
                     live.refresh();
                     oracle.refresh();
                     let sql = LIVE_QUERIES[template % LIVE_QUERIES.len()];
-                    let got = live.query(sql).expect("live query").docs;
-                    let want = oracle.query(sql).expect("oracle query").docs;
+                    let got = rd_live.query(sql).expect("live query").docs;
+                    let want = rd_oracle.query(sql).expect("oracle query").docs;
                     prop_assert_eq!(got, want, "query diverged mid-schedule: {}", sql);
                 }
                 LiveOp::Aggregate { template } => {
                     live.refresh();
                     oracle.refresh();
                     let sql = LIVE_AGGS[template % LIVE_AGGS.len()];
-                    let got = live.aggregate(sql).expect("live agg").rows;
-                    let want = oracle.aggregate(sql).expect("oracle agg").rows;
+                    let got = rd_live.aggregate(sql).expect("live agg").rows;
+                    let want = rd_oracle.aggregate(sql).expect("oracle agg").rows;
                     prop_assert_eq!(got, want, "aggregate diverged mid-schedule: {}", sql);
                 }
                 LiveOp::Rebalance => {
@@ -284,13 +279,13 @@ proptest! {
         live.refresh();
         oracle.refresh();
         for sql in LIVE_QUERIES {
-            let got = live.query(sql).expect("live query").docs;
-            let want = oracle.query(sql).expect("oracle query").docs;
+            let got = rd_live.query(sql).expect("live query").docs;
+            let want = rd_oracle.query(sql).expect("oracle query").docs;
             prop_assert_eq!(got, want, "query diverged post-cutover: {}", sql);
         }
         for sql in LIVE_AGGS {
-            let got = live.aggregate(sql).expect("live agg").rows;
-            let want = oracle.aggregate(sql).expect("oracle agg").rows;
+            let got = rd_live.aggregate(sql).expect("live agg").rows;
+            let want = rd_oracle.aggregate(sql).expect("oracle agg").rows;
             prop_assert_eq!(got, want, "aggregate diverged post-cutover: {}", sql);
         }
     }

@@ -195,8 +195,9 @@ fn tcp_round_trip_matches_embedded_query() {
     ));
 
     let (db, report) = handle.shutdown();
+    let rd = db.reader();
     assert_eq!(report.refused, 0);
-    let embedded = db.query(sql).expect("embedded query");
+    let embedded = rd.query(sql).expect("embedded query");
     assert_eq!(
         over_wire.docs, embedded.docs,
         "rows over the wire must be identical to the embedded result"
@@ -211,14 +212,15 @@ fn tcp_round_trip_matches_embedded_query() {
 #[test]
 fn tcp_aggregate_matches_embedded() {
     let mut db = open("agg");
+    let (w, rd) = (db.writer(), db.reader());
     for rid in 0..30u64 {
-        db.insert(sample_doc(1, rid, (rid % 3) as i64))
+        w.insert(sample_doc(1, rid, (rid % 3) as i64))
             .expect("insert");
     }
     db.refresh();
     let sql =
         "SELECT COUNT(*), SUM(amount) FROM transaction_logs WHERE tenant_id = 1 GROUP BY status";
-    let embedded = db.aggregate(sql).expect("embedded aggregate");
+    let embedded = rd.aggregate(sql).expect("embedded aggregate");
 
     let (handle, addr) = serve(
         db,
@@ -293,9 +295,10 @@ fn auth_failures_are_rejected_and_counted() {
 #[test]
 fn queries_are_confined_to_the_token_tenant() {
     let mut db = open("confine");
+    let w = db.writer();
     for rid in 0..8u64 {
-        db.insert(sample_doc(1, rid, 0)).expect("insert t1");
-        db.insert(sample_doc(2, 100 + rid, 0)).expect("insert t2");
+        w.insert(sample_doc(1, rid, 0)).expect("insert t1");
+        w.insert(sample_doc(2, 100 + rid, 0)).expect("insert t2");
     }
     db.refresh();
     let (handle, addr) = serve(
@@ -485,6 +488,7 @@ fn graceful_shutdown_loses_no_acknowledged_write() {
         (db, report)
     });
     let (mut db, _report) = handle;
+    let rd = db.reader();
 
     let acked = acked.into_inner().unwrap();
     assert!(
@@ -492,7 +496,7 @@ fn graceful_shutdown_loses_no_acknowledged_write() {
         "writers should have landed some acknowledged writes"
     );
     db.refresh();
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 1")
         .expect("query");
     let present: std::collections::HashSet<u64> =
@@ -531,8 +535,9 @@ fn requests_after_drain_get_503() {
         Err(_) => {} // connection closed: also fine, not acknowledged
     }
     let (mut db, _report) = drainer.join().expect("drain thread");
+    let rd = db.reader();
     db.refresh();
-    let rows = db
+    let rows = rd
         .query("SELECT * FROM transaction_logs WHERE tenant_id = 1")
         .expect("query");
     let ids: Vec<u64> = rows.docs.iter().map(|d| d.record_id.raw()).collect();

@@ -151,6 +151,7 @@ proptest! {
             .shards(1),
         )
         .expect("open");
+        let (w, rd) = (db.writer(), db.reader());
 
         // Readers must never see an id above this; stored *after* the
         // insert is acknowledged, so it is published before any refresh
@@ -177,7 +178,7 @@ proptest! {
                 match op {
                     Op::Insert(n) => {
                         for _ in 0..=(*n % 8) {
-                            db.insert(doc(next_rid)).expect("insert");
+                            w.insert(doc(next_rid)).expect("insert");
                             if next_rid % 10 == 0 {
                                 deletable.push(next_rid);
                             }
@@ -188,7 +189,7 @@ proptest! {
                     Op::Delete(k) => {
                         if !deletable.is_empty() {
                             let rid = deletable.swap_remove(*k as usize % deletable.len());
-                            db.delete(TenantId(TENANT), RecordId(rid), 1_000 + rid * 10)
+                            w.delete(TenantId(TENANT), RecordId(rid), 1_000 + rid * 10)
                                 .expect("delete");
                         }
                     }
@@ -204,7 +205,7 @@ proptest! {
         });
 
         // Writer finished and refreshed; a final read sees everything.
-        let all = rids(&db.query(Q_ALL).expect("final query"));
+        let all = rids(&rd.query(Q_ALL).expect("final query"));
         let odd_total = (0..next_rid_of(&ops)).filter(|r| r % 2 == 1).count();
         prop_assert_eq!(
             all.iter().filter(|r| *r % 2 == 1).count(),
@@ -237,11 +238,12 @@ fn pinned_snapshot_answers_identically_after_merge() {
         EsdbConfig::new(test_dir("snap-pin-merge")).shards(1),
     )
     .expect("open");
+    let (w, rd) = (db.writer(), db.reader());
 
     // Four refreshes -> four sealed segments.
     for batch in 0..4u64 {
         for i in 0..25u64 {
-            db.insert(doc(batch * 25 + i)).expect("insert");
+            w.insert(doc(batch * 25 + i)).expect("insert");
         }
         db.refresh();
     }
@@ -272,10 +274,10 @@ fn pinned_snapshot_answers_identically_after_merge() {
     // tombstones against rows the pinned view can see, another refresh.
     assert_eq!(db.force_merge(), 1, "four segments must merge into one");
     for i in 100..140u64 {
-        db.insert(doc(i)).expect("insert");
+        w.insert(doc(i)).expect("insert");
     }
     for rid in [0u64, 50, 90] {
-        db.delete(TenantId(TENANT), RecordId(rid), 1_000 + rid * 10)
+        w.delete(TenantId(TENANT), RecordId(rid), 1_000 + rid * 10)
             .expect("delete");
     }
     db.refresh();
@@ -317,5 +319,5 @@ fn pinned_snapshot_answers_identically_after_merge() {
     assert_eq!(fresh_all.len(), 137);
 
     // The facade's own query path agrees with the fresh pin.
-    assert_eq!(rids(&db.query(Q_ALL).expect("query")), fresh_all);
+    assert_eq!(rids(&rd.query(Q_ALL).expect("query")), fresh_all);
 }
