@@ -105,11 +105,6 @@ impl LoadBalancer {
         self
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BalancerConfig {
-        &self.config
-    }
-
     /// Journals a hot-tenant detection, returning the event sequence
     /// ([`NO_PARENT`] when no journal is attached).
     fn journal_detection(&self, tenant: TenantId, proportion_ppm: u64, offset: u32) -> u64 {

@@ -51,14 +51,6 @@ impl PeriodReport {
         }
         *self.per_tenant.get(&k).unwrap_or(&0) as f64 / self.total as f64
     }
-
-    /// Tenants ranked by write count, descending.
-    pub fn top_tenants(&self, limit: usize) -> Vec<(TenantId, u64)> {
-        let mut v: Vec<(TenantId, u64)> = self.per_tenant.iter().map(|(k, c)| (*k, *c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(limit);
-        v
-    }
 }
 
 /// Stripes in the per-tenant handle cache (power of two). Writers on
@@ -115,7 +107,7 @@ impl Default for WorkloadMonitor {
 
 impl WorkloadMonitor {
     /// Empty monitor over a private registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_registry(Arc::new(MetricsRegistry::new()))
     }
 
@@ -135,11 +127,6 @@ impl WorkloadMonitor {
             node_handles: RwLock::new(Vec::new()),
             baselines: Mutex::new(Baselines::default()),
         }
-    }
-
-    /// The registry the monitor records into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// Records one write routed to `shard` on `node`, adding `bytes` to the
@@ -286,7 +273,7 @@ impl WorkloadMonitor {
     }
 
     /// Storage proportion `r = S(k) / ΣS` (Algorithm 1 line 7).
-    pub fn storage_proportion(&self, k: TenantId) -> f64 {
+    pub(crate) fn storage_proportion(&self, k: TenantId) -> f64 {
         let total = self.storage_total.get();
         if total == 0 {
             return 0.0;
@@ -297,17 +284,12 @@ impl WorkloadMonitor {
     }
 
     /// All tenants with recorded storage.
-    pub fn storage_tenants(&self) -> impl Iterator<Item = (TenantId, u64)> + '_ {
+    pub(crate) fn storage_tenants(&self) -> impl Iterator<Item = (TenantId, u64)> + '_ {
         self.registry
             .counters_with(TENANT_STORAGE)
             .into_iter()
             .filter(|&(_, v)| v > 0)
             .map(|(labels, v)| (TenantId(labels.tenant.expect("tenant-labeled series")), v))
-    }
-
-    /// Total storage bytes.
-    pub fn storage_total(&self) -> u64 {
-        self.storage_total.get()
     }
 
     /// Bulk-loads a storage snapshot (used to seed the initialization phase
@@ -341,20 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn top_tenants_ranked() {
-        let m = WorkloadMonitor::new();
-        for _ in 0..5 {
-            m.record_write(TenantId(7), ShardId(0), NodeId(0), 1);
-        }
-        for _ in 0..2 {
-            m.record_write(TenantId(8), ShardId(0), NodeId(0), 1);
-        }
-        m.record_write(TenantId(9), ShardId(0), NodeId(0), 1);
-        let top = m.current().top_tenants(2);
-        assert_eq!(top, vec![(TenantId(7), 5), (TenantId(8), 2)]);
-    }
-
-    #[test]
     fn empty_proportions_are_zero() {
         let m = WorkloadMonitor::new();
         assert_eq!(m.current().tenant_proportion(TenantId(1)), 0.0);
@@ -366,7 +334,7 @@ mod tests {
         let m = WorkloadMonitor::new();
         m.load_storage([(TenantId(1), 900), (TenantId(2), 100)]);
         assert!((m.storage_proportion(TenantId(1)) - 0.9).abs() < 1e-12);
-        assert_eq!(m.storage_total(), 1000);
+        assert_eq!(m.storage_total.get(), 1000);
     }
 
     #[test]
@@ -382,7 +350,7 @@ mod tests {
         assert!(!p.per_shard.contains_key(&ShardId(2)));
         // The registry series kept counting from the start.
         assert_eq!(
-            m.registry().counter_value(TENANT_WRITES, Labels::tenant(1)),
+            m.registry.counter_value(TENANT_WRITES, Labels::tenant(1)),
             2
         );
         assert_eq!(m.take_period().total, 0, "drained");
@@ -411,7 +379,7 @@ mod tests {
         assert_eq!(p.per_tenant.values().sum::<u64>(), 2000);
         assert_eq!(p.per_shard.values().sum::<u64>(), 2000);
         assert_eq!(p.per_node.values().sum::<u64>(), 2000);
-        assert_eq!(m.storage_total(), 16_000);
+        assert_eq!(m.storage_total.get(), 16_000);
         assert_eq!(m.current().total, 0, "harvest reset the period");
     }
 

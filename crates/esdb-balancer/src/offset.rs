@@ -34,7 +34,7 @@ pub struct OffsetPolicy {
 impl OffsetPolicy {
     /// Policy for an `n_shards`-shard, `n_nodes`-node cluster with the
     /// defaults used by the figure harness.
-    pub fn new(n_shards: u32, n_nodes: u32) -> Self {
+    pub(crate) fn new(n_shards: u32, n_nodes: u32) -> Self {
         assert!(n_shards > 0 && n_nodes > 0);
         OffsetPolicy {
             shard_count: n_shards,
@@ -47,12 +47,12 @@ impl OffsetPolicy {
 
     /// `CheckHotSpot(r)`: is a tenant with throughput/storage proportion
     /// `r` a hotspot?
-    pub fn check_hotspot(&self, r: f64) -> bool {
+    pub(crate) fn check_hotspot(&self, r: f64) -> bool {
         r > self.hot_factor / self.node_count as f64
     }
 
     /// `ComputeOffsetSize(r)`: the power-of-two offset for proportion `r`.
-    pub fn compute_offset_size(&self, r: f64) -> u32 {
+    pub(crate) fn compute_offset_size(&self, r: f64) -> u32 {
         if r.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return 1;
         }

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 /// Dataset knobs.
 #[derive(Debug, Clone)]
-pub struct DatasetParams {
+pub(crate) struct DatasetParams {
     /// Total rows.
     pub n_rows: u64,
     /// Tenant population.
@@ -47,14 +47,14 @@ impl Default for DatasetParams {
 }
 
 /// Time window the dataset's rows span (and queries should target).
-pub const DATASET_T0: u64 = 1_631_750_400_000; // 2021-09-16 00:00:00
+pub(crate) const DATASET_T0: u64 = 1_631_750_400_000; // 2021-09-16 00:00:00
 /// One day in ms.
-pub const DAY_MS: u64 = 86_400_000;
+pub(crate) const DAY_MS: u64 = 86_400_000;
 
 /// Builds an embedded instance populated per `params`, refreshed and ready
 /// to query. Returns the db and the trace generator (for rank→tenant
 /// lookups).
-pub fn build_embedded(params: &DatasetParams, dir: PathBuf) -> (Esdb, TraceGenerator) {
+pub(crate) fn build_embedded(params: &DatasetParams, dir: PathBuf) -> (Esdb, TraceGenerator) {
     let _ = std::fs::remove_dir_all(&dir);
     let mut schema = CollectionSchema::transaction_logs();
     schema.attr_index_top_k = params.attr_top_k;

@@ -13,7 +13,7 @@ use crate::output::{banner, fmt_k, Table};
 use esdb_cluster::PolicySpec;
 
 /// Replica cost factor under physical replication.
-pub const PHYSICAL_REPLICA_COST: f64 = 0.3;
+pub(crate) const PHYSICAL_REPLICA_COST: f64 = 0.3;
 
 /// Runs the reproduction.
 pub fn run(quick: bool) {

@@ -5,7 +5,7 @@ use esdb_workload::{RateSchedule, TraceGenerator};
 
 /// Parameters of one write-simulation run.
 #[derive(Debug, Clone)]
-pub struct SimParams {
+pub(crate) struct SimParams {
     /// Routing policy.
     pub policy: PolicySpec,
     /// Zipf skew θ.
@@ -24,7 +24,7 @@ pub struct SimParams {
 
 impl SimParams {
     /// Paper defaults at θ=1.
-    pub fn paper(policy: PolicySpec) -> Self {
+    pub(crate) fn paper(policy: PolicySpec) -> Self {
         SimParams {
             policy,
             theta: 1.0,
@@ -37,14 +37,14 @@ impl SimParams {
     }
 
     /// Scales run length and tenant population down for `--quick`.
-    pub fn quick(mut self) -> Self {
+    pub(crate) fn quick(mut self) -> Self {
         self.duration_s = (self.duration_s / 3).max(20);
         self
     }
 }
 
 /// Runs one write simulation and returns the report.
-pub fn run_write_sim(p: &SimParams) -> RunReport {
+pub(crate) fn run_write_sim(p: &SimParams) -> RunReport {
     let mut cfg = ClusterConfig::paper(p.policy);
     cfg.replica_cost = p.replica_cost;
     let tick = cfg.tick_ms;
@@ -59,7 +59,7 @@ pub fn run_write_sim(p: &SimParams) -> RunReport {
 }
 
 /// The three policies every figure compares.
-pub fn all_policies() -> [PolicySpec; 3] {
+pub(crate) fn all_policies() -> [PolicySpec; 3] {
     [
         PolicySpec::Hashing,
         PolicySpec::DoubleHashing { s: 8 },
@@ -68,7 +68,7 @@ pub fn all_policies() -> [PolicySpec; 3] {
 }
 
 /// Warm-up cutoff used when averaging steady-state metrics.
-pub fn warmup_ms(p: &SimParams) -> u64 {
+pub(crate) fn warmup_ms(p: &SimParams) -> u64 {
     (p.duration_s * 1_000) / 3
 }
 

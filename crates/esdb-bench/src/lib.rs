@@ -11,7 +11,6 @@ pub mod figures;
 pub mod harness;
 pub mod output;
 
-pub use harness::{run_write_sim, SimParams};
 pub use output::Table;
 
 /// Host CPU count every `BENCH_*.json` reports as `host_cores`, so a

@@ -9,7 +9,7 @@ pub struct Table {
 
 impl Table {
     /// New table with column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -17,14 +17,14 @@ impl Table {
     }
 
     /// Appends a row (cells rendered by the caller).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
         self
     }
 
     /// Renders with right-aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -55,13 +55,13 @@ impl Table {
     }
 
     /// Prints to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         print!("{}", self.render());
     }
 }
 
 /// Formats a float with thousands-scale suffix (e.g. `140.2K`).
-pub fn fmt_k(v: f64) -> String {
+pub(crate) fn fmt_k(v: f64) -> String {
     if v >= 1_000_000.0 {
         format!("{:.2}M", v / 1_000_000.0)
     } else if v >= 1_000.0 {
@@ -72,7 +72,7 @@ pub fn fmt_k(v: f64) -> String {
 }
 
 /// Section banner for figure output.
-pub fn banner(title: &str) {
+pub(crate) fn banner(title: &str) {
     println!("\n==================================================================");
     println!("{title}");
     println!("==================================================================");

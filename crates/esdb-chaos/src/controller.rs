@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// Liveness of one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeHealth {
+pub(crate) enum NodeHealth {
     /// Serving.
     Up,
     /// Crashed at `since`; not serving, links partitioned.
@@ -132,19 +132,6 @@ impl FailoverController {
         matches!(self.health[node as usize], NodeHealth::Up)
     }
 
-    /// Health of `node`.
-    pub fn health(&self, node: u32) -> NodeHealth {
-        self.health[node as usize]
-    }
-
-    /// Serving nodes.
-    pub fn up_count(&self) -> usize {
-        self.health
-            .iter()
-            .filter(|h| matches!(h, NodeHealth::Up))
-            .count()
-    }
-
     /// Current capacity multiplier of `node`.
     pub fn slow_factor(&self, node: u32) -> f64 {
         self.slow[node as usize]
@@ -155,14 +142,9 @@ impl FailoverController {
         self.slow[node as usize] = factor.clamp(0.01, 1.0);
     }
 
-    /// Marks `node` down at `now`. Returns `false` (no-op) if it already
-    /// was.
-    pub fn on_crash(&mut self, node: u32, now: TimestampMs) -> bool {
-        self.on_crash_caused_by(node, now, NO_PARENT)
-    }
-
-    /// [`FailoverController::on_crash`] with a causal parent — typically
-    /// the `chaos_fault_injected` journal event that fired the crash.
+    /// Marks `node` down at `now`, parented to `cause_seq` — typically the
+    /// `chaos_fault_injected` journal event that fired the crash. Returns
+    /// `false` (no-op) if it already was.
     pub fn on_crash_caused_by(&mut self, node: u32, now: TimestampMs, cause_seq: u64) -> bool {
         if !self.is_up(node) {
             return false;
@@ -226,11 +208,6 @@ impl FailoverController {
         self.in_transition.contains_key(&shard)
     }
 
-    /// Shards currently mid-promotion.
-    pub fn transitions_in_flight(&self) -> usize {
-        self.in_transition.len()
-    }
-
     /// Completes the promotion of `shard` at `now` after replaying
     /// `replayed` translog ops; returns the promotion latency.
     pub fn complete_promotion(
@@ -265,14 +242,7 @@ impl FailoverController {
     }
 
     /// Accounts ops replayed to rebuild a replica on a surviving node,
-    /// parented to the latest restart.
-    pub fn record_resync(&mut self, ops: u64) {
-        let parent = self.last_restart_seq;
-        self.record_resync_caused_by(ops, parent);
-    }
-
-    /// [`FailoverController::record_resync`] with an explicit causal
-    /// parent — the crash or restart event that triggered the rebuild.
+    /// parented to the crash or restart event that triggered the rebuild.
     pub fn record_resync_caused_by(&mut self, ops: u64, cause_seq: u64) {
         self.resync_ops.add(ops);
         self.emit(
@@ -331,10 +301,13 @@ mod tests {
         let (mut c, reg) = controller(3);
         assert!(c.is_up(1));
         assert_eq!(reg.gauge("esdb_sim_node_up", Labels::node(1)).get(), 1);
-        assert!(c.on_crash(1, 1_000));
-        assert!(!c.on_crash(1, 1_100), "double crash is a no-op");
+        assert!(c.on_crash_caused_by(1, 1_000, NO_PARENT));
+        assert!(
+            !c.on_crash_caused_by(1, 1_100, NO_PARENT),
+            "double crash is a no-op"
+        );
         assert!(!c.is_up(1));
-        assert_eq!(c.up_count(), 2);
+        assert_eq!((0..3).filter(|&n| c.is_up(n)).count(), 2);
         assert_eq!(reg.gauge("esdb_sim_node_up", Labels::node(1)).get(), 0);
         assert_eq!(c.on_restart(1, 4_000), Some(3_000));
         assert_eq!(c.on_restart(1, 4_100), None, "double restart is a no-op");
@@ -353,10 +326,10 @@ mod tests {
     #[test]
     fn promotion_lifecycle_records_latency_and_ops() {
         let (mut c, reg) = controller(2);
-        c.on_crash(0, 2_000);
+        c.on_crash_caused_by(0, 2_000, NO_PARENT);
         c.begin_promotion(7, 0, 2_000);
         assert!(c.is_in_transition(7));
-        assert_eq!(c.transitions_in_flight(), 1);
+        assert_eq!(c.in_transition.len(), 1);
         assert_eq!(c.complete_promotion(7, 2_600, 40), Some(600));
         assert!(!c.is_in_transition(7));
         assert_eq!(c.complete_promotion(7, 2_700, 1), None, "already done");
@@ -375,7 +348,7 @@ mod tests {
     #[test]
     fn overlay_partitions_down_nodes_only() {
         let (mut c, _reg) = controller(3);
-        c.on_crash(2, 500);
+        c.on_crash_caused_by(2, 500, NO_PARENT);
         let plan = c.consensus_overlay(&FaultPlan::healthy(20));
         assert_eq!(plan.fault(NodeId(0)), LinkFault::Healthy);
         assert_eq!(plan.fault(NodeId(2)), LinkFault::Partitioned);
@@ -404,7 +377,7 @@ mod tests {
         c.begin_promotion(3, 0, 1_000);
         c.complete_promotion(3, 1_500, 25);
         c.on_restart(0, 2_000);
-        c.record_resync(10);
+        c.record_resync_caused_by(10, c.last_restart_seq());
         let events = journal.snapshot();
         let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
         assert_eq!(
@@ -433,7 +406,7 @@ mod tests {
     #[test]
     fn finish_closes_open_windows() {
         let (mut c, reg) = controller(2);
-        c.on_crash(0, 1_000);
+        c.on_crash_caused_by(0, 1_000, NO_PARENT);
         c.finish(9_000);
         let h = reg.histogram("esdb_sim_node_unavailability_ms", Labels::none());
         assert_eq!(h.count(), 1);

@@ -88,16 +88,6 @@ impl CrashWindowInjector {
         CrashWindowInjector::new(lo + mix(seed) % span, len)
     }
 
-    /// The first append index the window kills.
-    pub fn window_start(&self) -> u64 {
-        self.start
-    }
-
-    /// Appends observed so far.
-    pub fn appends_seen(&self) -> u64 {
-        self.appends.load(Ordering::Relaxed)
-    }
-
     /// Whether the crash window has fully passed (every append in it was
     /// attempted and failed).
     pub fn window_elapsed(&self) -> bool {
@@ -162,10 +152,10 @@ mod tests {
     fn seeded_crash_window_is_deterministic() {
         let a = CrashWindowInjector::seeded(99, 100, 200, 5);
         let b = CrashWindowInjector::seeded(99, 100, 200, 5);
-        assert_eq!(a.window_start(), b.window_start());
-        assert!((100..200).contains(&a.window_start()));
+        assert_eq!(a.start, b.start);
+        assert!((100..200).contains(&a.start));
         let c = CrashWindowInjector::seeded(100, 100, 200, 5);
-        assert_ne!(a.window_start(), c.window_start(), "seed moves the window");
+        assert_ne!(a.start, c.start, "seed moves the window");
     }
 
     #[test]

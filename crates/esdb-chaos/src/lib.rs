@@ -31,7 +31,7 @@ pub mod injector;
 pub mod retry;
 pub mod schedule;
 
-pub use controller::{FailoverConfig, FailoverController, NodeHealth};
+pub use controller::{FailoverConfig, FailoverController};
 pub use injector::{CrashWindowInjector, TornWriteInjector};
 pub use retry::RetryPolicy;
 pub use schedule::{ChaosEvent, ChaosProfile, ChaosSchedule};

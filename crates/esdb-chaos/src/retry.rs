@@ -33,14 +33,6 @@ impl RetryPolicy {
         let shifted = self.base_delay_ms.saturating_shl(attempt.min(16));
         Some(shifted.min(self.max_delay_ms).max(1))
     }
-
-    /// Worst-case total time spent retrying, ms (the recovery budget a
-    /// schedule must fit inside for zero client-visible write failures).
-    pub fn max_total_delay_ms(&self) -> u64 {
-        (0..self.max_attempts)
-            .map(|a| self.backoff_ms(a).unwrap_or(0))
-            .sum()
-    }
 }
 
 /// `u64::checked_shl` that saturates instead of wrapping.
@@ -58,6 +50,14 @@ impl SaturatingShl for u64 {
 mod tests {
     use super::*;
 
+    /// Worst-case total time spent retrying, ms (the recovery budget a
+    /// schedule must fit inside for zero client-visible write failures).
+    fn max_total_delay_ms(p: &RetryPolicy) -> u64 {
+        (0..p.max_attempts)
+            .map(|a| p.backoff_ms(a).unwrap_or(0))
+            .sum()
+    }
+
     #[test]
     fn doubles_then_caps_then_exhausts() {
         let p = RetryPolicy {
@@ -70,7 +70,7 @@ mod tests {
             delays,
             vec![Some(100), Some(200), Some(400), Some(500), Some(500), None]
         );
-        assert_eq!(p.max_total_delay_ms(), 1_700);
+        assert_eq!(max_total_delay_ms(&p), 1_700);
     }
 
     #[test]
@@ -78,6 +78,6 @@ mod tests {
         let p = RetryPolicy::default();
         // Default budget is well over a minute of simulated time — a
         // single-node recovery at small scale finishes far inside it.
-        assert!(p.max_total_delay_ms() > 60_000);
+        assert!(max_total_delay_ms(&p) > 60_000);
     }
 }

@@ -39,18 +39,6 @@ pub enum ChaosEvent {
     },
 }
 
-impl ChaosEvent {
-    /// The node the event targets.
-    pub fn node(&self) -> u32 {
-        match *self {
-            ChaosEvent::NodeCrash { node }
-            | ChaosEvent::NodeRestart { node }
-            | ChaosEvent::SlowNode { node, .. }
-            | ChaosEvent::Link { node, .. } => node,
-        }
-    }
-}
-
 /// Shape of a randomly generated failure scenario (see
 /// [`ChaosSchedule::seeded`]).
 #[derive(Debug, Clone, Copy)]
@@ -112,12 +100,6 @@ impl ChaosSchedule {
         }
     }
 
-    /// Builder: sets the base consensus plan.
-    pub fn with_base_consensus(mut self, plan: FaultPlan) -> Self {
-        self.base_consensus = plan;
-        self
-    }
-
     /// Builder: schedules `event` at `at_ms`.
     pub fn at(mut self, at_ms: TimestampMs, event: ChaosEvent) -> Self {
         self.push(at_ms, event);
@@ -126,7 +108,7 @@ impl ChaosSchedule {
 
     /// Schedules `event` at `at_ms`. Events already consumed by
     /// [`ChaosSchedule::take_due`] are unaffected.
-    pub fn push(&mut self, at_ms: TimestampMs, event: ChaosEvent) {
+    pub(crate) fn push(&mut self, at_ms: TimestampMs, event: ChaosEvent) {
         // Stable insertion position: after every event with time <= at_ms,
         // but never before the cursor (the past is immutable).
         let mut i = self.events.len();
@@ -211,16 +193,6 @@ impl ChaosSchedule {
     pub fn set_consensus_plan(&mut self, plan: FaultPlan) {
         self.base_consensus = plan;
     }
-
-    /// Events not yet taken.
-    pub fn pending(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
-    /// Every scheduled event (taken or not), in order.
-    pub fn events(&self) -> &[(TimestampMs, ChaosEvent)] {
-        &self.events
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +211,7 @@ mod tests {
                     factor: 0.5,
                 },
             );
-        assert_eq!(s.pending(), 3);
+        assert_eq!(s.events.len() - s.cursor, 3);
         let due = s.take_due(100);
         // Both t=100 events, crash first (insertion order at equal times).
         assert_eq!(due.len(), 2);
@@ -247,7 +219,7 @@ mod tests {
         assert!(matches!(due[1], ChaosEvent::SlowNode { node: 2, .. }));
         assert!(s.take_due(499).is_empty());
         assert_eq!(s.take_due(500).len(), 1);
-        assert_eq!(s.pending(), 0);
+        assert_eq!(s.events.len() - s.cursor, 0);
     }
 
     #[test]
@@ -279,15 +251,15 @@ mod tests {
         let p = ChaosProfile::mild(8, 60_000);
         let a = ChaosSchedule::seeded(42, &p);
         let b = ChaosSchedule::seeded(42, &p);
-        assert_eq!(a.events(), b.events());
+        assert_eq!(a.events, b.events);
         let c = ChaosSchedule::seeded(43, &p);
-        assert_ne!(a.events(), c.events(), "different seed, different plan");
+        assert_ne!(a.events, c.events, "different seed, different plan");
         // Crash/restart pairing: every crash has a later restart of the
         // same node.
-        for &(t, ev) in a.events() {
+        for &(t, ev) in &a.events {
             if let ChaosEvent::NodeCrash { node } = ev {
                 assert!(a
-                    .events()
+                    .events
                     .iter()
                     .any(|&(t2, e2)| t2 > t && e2 == ChaosEvent::NodeRestart { node }));
             }

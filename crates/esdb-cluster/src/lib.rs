@@ -4,7 +4,7 @@
 //! each) driven by 3 client machines (§6.1). This crate reproduces that
 //! testbed as a deterministic discrete-event simulation:
 //!
-//! * [`node::SimNode`] — a worker with a fixed indexing capacity
+//! * `node::SimNode` — a worker with a fixed indexing capacity
 //!   (work-units/sec) and a FIFO task queue; primaries cost 1 unit, replica
 //!   executions cost `replica_cost` units (1.0 = logical replication,
 //!   <1 = physical replication, §5.2).
@@ -30,6 +30,5 @@ pub mod query_model;
 pub mod sim;
 
 pub use config::{ClientConfig, ClusterConfig, PolicySpec};
-pub use node::SimNode;
 pub use query_model::{QueryCostModel, QueryThroughputModel};
 pub use sim::{RunReport, SimCluster, TickStats};

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 /// A unit of work queued on a node.
 #[derive(Debug, Clone, Copy)]
-pub enum Task {
+pub(crate) enum Task {
     /// Index a write on the primary shard (cost 1.0). Carries the original
     /// client event so a crashed node's unacknowledged work can re-enter
     /// routing, plus what the metrics layer needs at completion time.
@@ -17,10 +17,7 @@ pub enum Task {
         shard: ShardId,
     },
     /// Apply the write on a replica (cost = `replica_cost`).
-    Replica {
-        /// Replica shard.
-        shard: ShardId,
-    },
+    Replica,
     /// Replay a translog tail after a failover (cost = `work`, fixed at
     /// enqueue time). `promote: true` finishes a replica promotion;
     /// `promote: false` rebuilds a replica on a surviving node.
@@ -41,7 +38,7 @@ pub enum Task {
 
 /// A worker node: fixed capacity per tick, FIFO queue.
 #[derive(Debug)]
-pub struct SimNode {
+pub(crate) struct SimNode {
     /// Capacity in work units per tick.
     capacity_per_tick: f64,
     /// Service-rate degradation multiplier in `(0, 1]` (chaos
@@ -66,7 +63,7 @@ pub struct SimNode {
 
 impl SimNode {
     /// A node processing `capacity_per_tick` work units each tick.
-    pub fn new(capacity_per_tick: f64) -> Self {
+    pub(crate) fn new(capacity_per_tick: f64) -> Self {
         SimNode {
             capacity_per_tick,
             capacity_factor: 1.0,
@@ -81,13 +78,8 @@ impl SimNode {
         }
     }
 
-    /// Queue length in tasks.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Sets the service-rate degradation multiplier (clamped to `(0, 1]`).
-    pub fn set_capacity_factor(&mut self, factor: f64) {
+    pub(crate) fn set_capacity_factor(&mut self, factor: f64) {
         self.capacity_factor = factor.clamp(0.01, 1.0);
     }
 
@@ -95,7 +87,7 @@ impl SimNode {
     /// can re-drive unacknowledged work through the client) and all
     /// in-flight accounting resets. Cumulative totals survive — a crash
     /// does not erase work already done.
-    pub fn crash(&mut self) -> Vec<Task> {
+    pub(crate) fn crash(&mut self) -> Vec<Task> {
         self.budget = 0.0;
         self.pending_work = 0.0;
         self.pending_primaries = 0;
@@ -104,7 +96,7 @@ impl SimNode {
     }
 
     /// Enqueues a task costing `cost` units.
-    pub fn enqueue(&mut self, task: Task, cost: f64) {
+    pub(crate) fn enqueue(&mut self, task: Task, cost: f64) {
         if matches!(task, Task::Primary { .. }) {
             self.pending_primaries += 1;
         }
@@ -115,7 +107,7 @@ impl SimNode {
     /// Runs one tick; every completed task is passed to `on_complete`.
     /// `replica_cost` prices Replica tasks; Recovery tasks carry their own
     /// cost.
-    pub fn run_tick<F: FnMut(Task)>(&mut self, replica_cost: f64, mut on_complete: F) {
+    pub(crate) fn run_tick<F: FnMut(Task)>(&mut self, replica_cost: f64, mut on_complete: F) {
         let effective = self.capacity_per_tick * self.capacity_factor;
         self.budget += effective;
         self.offered_capacity += effective;
@@ -123,7 +115,7 @@ impl SimNode {
         while let Some(task) = self.queue.front() {
             let cost = match task {
                 Task::Primary { .. } => 1.0,
-                Task::Replica { .. } => replica_cost,
+                Task::Replica => replica_cost,
                 Task::Recovery { work, .. } => *work,
             };
             if self.budget < cost {
@@ -148,7 +140,7 @@ impl SimNode {
     }
 
     /// Lifetime utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         if self.offered_capacity == 0.0 {
             0.0
         } else {
@@ -193,14 +185,14 @@ mod tests {
         assert_eq!(completed_primaries(&mut n, 1.0), 5);
         assert_eq!(completed_primaries(&mut n, 1.0), 5);
         assert_eq!(completed_primaries(&mut n, 1.0), 2);
-        assert_eq!(n.queue_len(), 0);
+        assert_eq!(n.queue.len(), 0);
     }
 
     #[test]
     fn replica_tasks_consume_budget_but_dont_count_as_primaries() {
         let mut n = SimNode::new(4.0);
-        n.enqueue(Task::Replica { shard: ShardId(0) }, 0.5);
-        n.enqueue(Task::Replica { shard: ShardId(0) }, 0.5);
+        n.enqueue(Task::Replica, 0.5);
+        n.enqueue(Task::Replica, 0.5);
         n.enqueue(primary(0), 1.0);
         let mut all = 0;
         let mut primaries = 0;
@@ -266,7 +258,7 @@ mod tests {
         assert_eq!(completed_primaries(&mut n, 1.0), 2);
         let lost = n.crash();
         assert_eq!(lost.len(), 4);
-        assert_eq!(n.queue_len(), 0);
+        assert_eq!(n.queue.len(), 0);
         assert_eq!(n.pending_primaries, 0);
         assert!((n.pending_work).abs() < 1e-9);
         assert_eq!(n.completed_primaries, 2, "done work survives the crash");

@@ -75,7 +75,7 @@ impl<'a> QueryThroughputModel<'a> {
     }
 
     /// The work one query for `tenant` with shard span `span` costs.
-    pub fn query_cost(&self, tenant: TenantId, span: &ShardSpan) -> f64 {
+    pub(crate) fn query_cost(&self, tenant: TenantId, span: &ShardSpan) -> f64 {
         let tenant_docs = *self.report.per_tenant_docs.get(&tenant).unwrap_or(&0) as f64;
         let per_shard_tenant_frac = tenant_docs / span.len as f64 / self.total_docs;
         let mut cost = self.model.c_query;

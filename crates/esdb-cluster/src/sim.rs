@@ -377,16 +377,6 @@ impl SimCluster {
         self.chaos = schedule;
     }
 
-    /// The chaos schedule driving this run.
-    pub fn chaos(&self) -> &ChaosSchedule {
-        &self.chaos
-    }
-
-    /// Whether `node` is currently serving.
-    pub fn node_up(&self, node: u32) -> bool {
-        self.controller.is_up(node)
-    }
-
     /// The node that currently hosts `shard`'s primary.
     pub fn primary_of(&self, shard: ShardId) -> u32 {
         self.primary_node[shard.index()]
@@ -517,7 +507,7 @@ impl SimCluster {
 
         // Node processing (down nodes serve nothing).
         let replica_cost = self.cfg.replica_cost;
-        let mut replica_pushes: Vec<(u32, ShardId)> = Vec::new();
+        let mut replica_pushes: Vec<u32> = Vec::new();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             if !self.controller.is_up(i as u32) {
                 continue;
@@ -544,14 +534,14 @@ impl SimCluster {
                         self.participants[i].observe_executed(ev.created_at);
                         let replica = self.replica_node[shard.index()];
                         if replica != i as u32 && self.controller.is_up(replica) {
-                            replica_pushes.push((replica, shard));
+                            replica_pushes.push(replica);
                         } else if replica != i as u32 {
                             // A dead replica can't sync; surfaced, not
                             // swallowed — the restart path resyncs it.
                             self.replica_sync_skipped.inc();
                         }
                     }
-                    Task::Replica { .. } => {}
+                    Task::Replica => {}
                     Task::Recovery {
                         shard,
                         ops,
@@ -576,8 +566,8 @@ impl SimCluster {
                 }
             }
         }
-        for (node, shard) in replica_pushes {
-            self.nodes[node as usize].enqueue(Task::Replica { shard }, replica_cost);
+        for node in replica_pushes {
+            self.nodes[node as usize].enqueue(Task::Replica, replica_cost);
         }
 
         // Balancer period (runtime phase of Algorithm 1) — dynamic only.
@@ -875,12 +865,6 @@ impl SimCluster {
     /// worker queues. Zero means every accepted write has completed.
     pub fn in_flight(&self) -> u64 {
         self.backlog() as u64 + self.nodes.iter().map(|n| n.pending_primaries).sum::<u64>()
-    }
-
-    /// The shared telemetry facade (monitor, consensus, routing, and
-    /// per-node delay series all record into its registry).
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
     }
 
     /// Point-in-time snapshot of every metric the run has produced.
@@ -1186,7 +1170,7 @@ mod tests {
             generated += events.len() as u64;
             cluster.step(events);
         }
-        assert!(!cluster.node_up(1) || cluster.now() > 15_000);
+        assert!(!cluster.controller.is_up(1) || cluster.now() > 15_000);
         cluster.drain(40_000);
         assert_eq!(cluster.backlog(), 0);
         let snap = cluster.telemetry_snapshot();
@@ -1247,13 +1231,13 @@ mod tests {
         for _ in 0..15 {
             cluster.step(Vec::new());
         }
-        assert!(!cluster.node_up(2));
+        assert!(!cluster.controller.is_up(2));
         assert_eq!(gauge_for(&cluster.telemetry_snapshot(), 2), Some(0));
         assert_eq!(gauge_for(&cluster.telemetry_snapshot(), 0), Some(1));
         for _ in 0..20 {
             cluster.step(Vec::new());
         }
-        assert!(cluster.node_up(2));
+        assert!(cluster.controller.is_up(2));
         assert_eq!(gauge_for(&cluster.telemetry_snapshot(), 2), Some(1));
     }
 

@@ -46,18 +46,6 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; `0` when no lookups happened yet.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One LRU shard: an intrusive doubly-linked list over a slab, indexed by
 /// a hash map. `head` is the most recently used node.
 struct LruShard<K, V> {
@@ -241,11 +229,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    /// The total weight budget currently in force.
-    pub fn budget(&self) -> u64 {
-        self.shard_budget.load(Ordering::Relaxed) * CACHE_SHARDS as u64
-    }
-
     /// Changes the weight budget, evicting immediately if it shrank.
     pub fn set_budget(&self, budget: u64) {
         let per_shard = budget / CACHE_SHARDS as u64;
@@ -351,7 +334,6 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.entries, 1);
         assert_eq!(s.bytes, 1);
-        assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
     }
 
     #[test]

@@ -4,10 +4,6 @@
 //! storage engine uses wall-clock time. Both sides program against the
 //! [`Clock`] trait so the routing/consensus logic (which reasons about rule
 //! *effective times*, paper §4.3) is identical in both environments.
-//!
-//! The consensus protocol additionally tolerates bounded clock *skew*
-//! between nodes (the paper budgets ≤ 1 s); [`SkewedClock`] models a node
-//! whose local timer deviates from the cluster reference.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,7 +19,7 @@ pub trait Clock: Send + Sync {
 
 /// Wall-clock time (milliseconds since the UNIX epoch).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct RealClock;
+pub(crate) struct RealClock;
 
 impl Clock for RealClock {
     fn now(&self) -> TimestampMs {
@@ -43,7 +39,7 @@ pub struct ManualClock {
 
 impl ManualClock {
     /// Creates a clock starting at `start_ms`.
-    pub fn new(start_ms: TimestampMs) -> Self {
+    pub(crate) fn new(start_ms: TimestampMs) -> Self {
         ManualClock {
             now_ms: AtomicU64::new(start_ms),
         }
@@ -74,13 +70,8 @@ pub struct SharedClock(Arc<dyn Clock>);
 
 impl SharedClock {
     /// Wraps a clock implementation.
-    pub fn new<C: Clock + 'static>(clock: C) -> Self {
+    pub(crate) fn new<C: Clock + 'static>(clock: C) -> Self {
         SharedClock(Arc::new(clock))
-    }
-
-    /// Wraps an already-shared clock.
-    pub fn from_arc(clock: Arc<dyn Clock>) -> Self {
-        SharedClock(clock)
     }
 
     /// A wall-clock handle.
@@ -104,28 +95,6 @@ impl Clock for SharedClock {
 impl std::fmt::Debug for SharedClock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SharedClock(now={})", self.0.now())
-    }
-}
-
-/// A clock that reads another clock and applies a fixed signed skew, used to
-/// model per-node local-timer deviation in consensus tests.
-pub struct SkewedClock {
-    inner: SharedClock,
-    skew_ms: i64,
-}
-
-impl SkewedClock {
-    /// Creates a clock reading `inner` shifted by `skew_ms` (may be
-    /// negative; saturates at zero).
-    pub fn new(inner: SharedClock, skew_ms: i64) -> Self {
-        SkewedClock { inner, skew_ms }
-    }
-}
-
-impl Clock for SkewedClock {
-    fn now(&self) -> TimestampMs {
-        let base = self.inner.now() as i64;
-        (base + self.skew_ms).max(0) as TimestampMs
     }
 }
 
@@ -165,23 +134,5 @@ mod tests {
         assert!(b >= a);
         // Sanity: after 2020-01-01 in ms.
         assert!(a > 1_577_836_800_000);
-    }
-
-    #[test]
-    fn skewed_clock_applies_offset() {
-        let (shared, driver) = SharedClock::manual(1000);
-        let fast = SkewedClock::new(shared.clone(), 300);
-        let slow = SkewedClock::new(shared.clone(), -300);
-        assert_eq!(fast.now(), 1300);
-        assert_eq!(slow.now(), 700);
-        driver.advance(100);
-        assert_eq!(fast.now(), 1400);
-    }
-
-    #[test]
-    fn skewed_clock_saturates_at_zero() {
-        let (shared, _driver) = SharedClock::manual(10);
-        let slow = SkewedClock::new(shared, -100);
-        assert_eq!(slow.now(), 0);
     }
 }

@@ -40,11 +40,6 @@ impl Executor {
         Executor { parallelism }
     }
 
-    /// A deterministic sequential executor (degree 1).
-    pub fn sequential() -> Self {
-        Executor { parallelism: 1 }
-    }
-
     /// The configured degree (≥ 1).
     pub fn parallelism(&self) -> usize {
         self.parallelism
@@ -125,7 +120,7 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let items: Vec<u64> = (0..257).collect();
-        let seq = Executor::sequential().map(&items, |i, v| (i as u64) * 31 + v);
+        let seq = Executor::new(1).map(&items, |i, v| (i as u64) * 31 + v);
         for degree in [2, 3, 8] {
             let par = Executor::new(degree).map(&items, |i, v| (i as u64) * 31 + v);
             assert_eq!(seq, par, "degree {degree} diverged");

@@ -47,7 +47,7 @@ pub fn murmur3_32(data: &[u8], seed: u32) -> u32 {
 
 /// Murmur3 finalization mix — forces avalanche of the final bits.
 #[inline]
-pub fn fmix32(mut h: u32) -> u32 {
+pub(crate) fn fmix32(mut h: u32) -> u32 {
     h ^= h >> 16;
     h = h.wrapping_mul(0x85eb_ca6b);
     h ^= h >> 13;
@@ -58,7 +58,7 @@ pub fn fmix32(mut h: u32) -> u32 {
 
 /// 64-bit finalization mix (from MurmurHash3's fmix64 / splitmix64 family).
 #[inline]
-pub fn fmix64(mut h: u64) -> u64 {
+pub(crate) fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -68,7 +68,7 @@ pub fn fmix64(mut h: u64) -> u64 {
 }
 
 /// Stable 128-bit hash of a byte string (two independent FNV-1a/64 lanes,
-/// each finalized with [`fmix64`]).
+/// each finalized with `fmix64`).
 ///
 /// Used for query-plan fingerprints: the value must be identical across
 /// runs, platforms, and process restarts (unlike `std`'s randomized
@@ -91,11 +91,11 @@ pub fn stable_hash128(data: &[u8]) -> u128 {
 }
 
 /// Seed for the primary (tenant-ID) routing hash.
-pub const H1_SEED: u32 = 0;
+pub(crate) const H1_SEED: u32 = 0;
 /// Seed for the secondary (record-ID) routing hash. Any seed different from
 /// [`H1_SEED`] yields an independent function; this constant matches the
 /// value we calibrated the simulator with.
-pub const H2_SEED: u32 = 0x9747_b28c;
+pub(crate) const H2_SEED: u32 = 0x9747_b28c;
 
 /// Primary routing hash `h1`, applied to the tenant ID (`k1`).
 #[inline]
@@ -107,13 +107,6 @@ pub fn h1(k1: u64) -> u32 {
 #[inline]
 pub fn h2(k2: u64) -> u32 {
     murmur3_32(&k2.to_le_bytes(), H2_SEED)
-}
-
-/// Hash an arbitrary string key with the primary seed — used when routing by
-/// a string tenant key rather than a numeric ID.
-#[inline]
-pub fn h1_str(key: &str) -> u32 {
-    murmur3_32(key.as_bytes(), H1_SEED)
 }
 
 #[cfg(test)]
@@ -189,11 +182,5 @@ mod tests {
         // The two 64-bit lanes must not be trivially correlated.
         let h = stable_hash128(b"esdb");
         assert_ne!((h >> 64) as u64, h as u64);
-    }
-
-    #[test]
-    fn string_and_numeric_keys_hash_consistently() {
-        assert_eq!(h1_str("abc"), murmur3_32(b"abc", H1_SEED));
-        assert_ne!(h1_str("abc"), h1_str("abd"));
     }
 }

@@ -60,14 +60,6 @@ impl ShardId {
     }
 }
 
-impl NodeId {
-    /// Returns the node index as a `usize` for vector indexing.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for TenantId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tenant-{}", self.0)
@@ -133,7 +125,6 @@ mod tests {
         assert_eq!(TenantId::from(5).raw(), 5);
         assert_eq!(RecordId::from(6).raw(), 6);
         assert_eq!(ShardId::from(4).index(), 4);
-        assert_eq!(NodeId::from(2).index(), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod stats;
 pub mod zipf;
 
 pub use cache::{CacheStats, ShardedCache};
-pub use clock::{Clock, ManualClock, RealClock, SharedClock};
+pub use clock::{Clock, ManualClock, SharedClock};
 pub use error::{EsdbError, Result};
 pub use exec::Executor;
 pub use ids::{NodeId, RecordId, ShardId, TenantId, TimestampMs};

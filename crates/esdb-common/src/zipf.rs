@@ -21,7 +21,6 @@ use rand::Rng;
 pub struct ZipfSampler {
     /// Cumulative, normalized weights; `cdf[k-1]` = P(rank ≤ k).
     cdf: Vec<f64>,
-    theta: f64,
 }
 
 impl ZipfSampler {
@@ -47,17 +46,7 @@ impl ZipfSampler {
         }
         // Guard against floating-point drift in the final entry.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        ZipfSampler { cdf, theta }
-    }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Configured skewness factor.
-    pub fn theta(&self) -> f64 {
-        self.theta
+        ZipfSampler { cdf }
     }
 
     /// Probability mass of rank `k` (1-based).
@@ -77,7 +66,7 @@ impl ZipfSampler {
     }
 
     /// Deterministic inverse-CDF lookup: smallest rank with `cdf >= u`.
-    pub fn rank_for(&self, u: f64) -> usize {
+    pub(crate) fn rank_for(&self, u: f64) -> usize {
         let u = u.clamp(0.0, 1.0);
         match self
             .cdf

@@ -30,6 +30,6 @@ pub mod network;
 pub mod participant;
 
 pub use master::{ConsensusConfig, Master, RoundOutcome};
-pub use messages::{PrepareReply, RuleBody};
+pub use messages::RuleBody;
 pub use network::{FaultPlan, LinkFault};
 pub use participant::Participant;

@@ -58,7 +58,7 @@ pub enum RoundOutcome {
 
 impl RoundOutcome {
     /// Whether the round committed.
-    pub fn is_committed(&self) -> bool {
+    pub(crate) fn is_committed(&self) -> bool {
         matches!(self, RoundOutcome::Committed { .. })
     }
 }
@@ -107,11 +107,6 @@ impl Master {
                 self.config.interval_t_ms,
             );
         }
-    }
-
-    /// The configured commit-wait interval `T`.
-    pub fn interval_t(&self) -> u64 {
-        self.config.interval_t_ms
     }
 
     /// Runs one full round for `body` against `participants` under `plan`.
@@ -274,7 +269,10 @@ mod tests {
         let plan = FaultPlan::healthy(100); // paper's RTT scale
         match master.run_round(&RuleBody::single(TenantId(9), 4), &mut parts, &plan) {
             RoundOutcome::Committed { round_ms, .. } => {
-                assert!(round_ms < master.interval_t(), "round {round_ms}ms >= T");
+                assert!(
+                    round_ms < master.config.interval_t_ms,
+                    "round {round_ms}ms >= T"
+                );
             }
             other => panic!("expected commit, got {other:?}"),
         }

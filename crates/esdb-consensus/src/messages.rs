@@ -24,7 +24,7 @@ impl RuleBody {
     }
 
     /// Attaches an effective time, producing the concrete rule.
-    pub fn with_effective_time(&self, t: TimestampMs) -> SecondaryHashingRule {
+    pub(crate) fn with_effective_time(&self, t: TimestampMs) -> SecondaryHashingRule {
         SecondaryHashingRule {
             effective_time: t,
             offset: self.offset,
@@ -35,7 +35,7 @@ impl RuleBody {
 
 /// A participant's reply to *Prepare*.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PrepareReply {
+pub(crate) enum PrepareReply {
     /// The participant validated the effective time and blocked
     /// later-created workloads.
     Accept,

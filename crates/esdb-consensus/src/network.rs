@@ -54,7 +54,7 @@ impl FaultPlan {
     }
 
     /// One-way latency to `node`, or `None` if the message is lost.
-    pub fn one_way_latency(&self, node: NodeId) -> Option<u64> {
+    pub(crate) fn one_way_latency(&self, node: NodeId) -> Option<u64> {
         match self.fault(node) {
             LinkFault::Healthy | LinkFault::DropCommit => Some(self.base_latency_ms),
             LinkFault::Delay(d) => Some(self.base_latency_ms + d),
@@ -63,7 +63,7 @@ impl FaultPlan {
     }
 
     /// Whether the commit broadcast reaches `node`.
-    pub fn commit_reaches(&self, node: NodeId) -> bool {
+    pub(crate) fn commit_reaches(&self, node: NodeId) -> bool {
         !matches!(
             self.fault(node),
             LinkFault::DropCommit | LinkFault::Partitioned

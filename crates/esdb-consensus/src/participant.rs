@@ -38,18 +38,6 @@ impl Participant {
         }
     }
 
-    /// A participant sharing an externally-owned rule list (the cluster
-    /// wires the coordinator's router to the same list).
-    pub fn with_rules(id: NodeId, rules: Arc<RwLock<RuleList>>) -> Self {
-        Participant {
-            id,
-            rules,
-            max_executed_tc: 0,
-            block_after: None,
-            pending: None,
-        }
-    }
-
     /// Shared handle to this participant's rule list.
     pub fn rules(&self) -> Arc<RwLock<RuleList>> {
         self.rules.clone()
@@ -59,11 +47,6 @@ impl Participant {
     /// (advances the validation watermark).
     pub fn observe_executed(&mut self, tc: TimestampMs) {
         self.max_executed_tc = self.max_executed_tc.max(tc);
-    }
-
-    /// The largest executed creation time.
-    pub fn watermark(&self) -> TimestampMs {
-        self.max_executed_tc
     }
 
     /// Whether a write created at `tc` may execute now, or must wait for the
@@ -76,7 +59,7 @@ impl Participant {
     }
 
     /// Handles *Prepare*: validate and block (Fig. 5 left).
-    pub fn on_prepare(&mut self, rule: &SecondaryHashingRule) -> PrepareReply {
+    pub(crate) fn on_prepare(&mut self, rule: &SecondaryHashingRule) -> PrepareReply {
         let t = rule.effective_time;
         if self.max_executed_tc >= t {
             return PrepareReply::Reject {
@@ -111,7 +94,7 @@ impl Participant {
     }
 
     /// Handles *Abort*: discard the pending rule, lift the block.
-    pub fn on_abort(&mut self) {
+    pub(crate) fn on_abort(&mut self) {
         self.pending = None;
         self.block_after = None;
     }

@@ -93,11 +93,6 @@ impl WriteBatcher {
         self.accepted
     }
 
-    /// Buffered operations that will actually be sent.
-    pub fn pending(&self) -> usize {
-        self.ops.values().filter(|o| o.is_some()).count()
-    }
-
     /// Drains the batch in first-arrival order.
     pub fn flush(&mut self) -> Vec<WriteOp> {
         let mut out = Vec::with_capacity(self.order.len());
@@ -108,6 +103,14 @@ impl WriteBatcher {
         }
         self.accepted = 0;
         out
+    }
+}
+
+#[cfg(test)]
+impl WriteBatcher {
+    /// Buffered operations that will actually be sent.
+    pub(crate) fn pending(&self) -> usize {
+        self.ops.values().filter(|o| o.is_some()).count()
     }
 }
 

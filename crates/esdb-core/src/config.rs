@@ -62,12 +62,16 @@ pub struct EsdbConfig {
     /// default) activates immediately, which is exact under the
     /// embedded single-clock deployment.
     pub commit_wait_ms: u64,
-    /// Bound on the translog tail a live migration may capture while
-    /// its segment handoff is in flight. Exceeding it aborts the
-    /// migration (writes are outrunning the drain) rather than chasing
-    /// an unbounded backlog.
-    pub migration_tail_max_ops: usize,
+    /// Bound on the translog tail a live migration may capture; always
+    /// [`MIGRATION_TAIL_MAX_OPS`] outside unit tests.
+    pub(crate) migration_tail_max_ops: usize,
 }
+
+/// Bound on the translog tail a live migration may capture while its
+/// segment handoff is in flight. Exceeding it aborts the migration
+/// (writes are outrunning the drain) rather than chasing an unbounded
+/// backlog.
+pub(crate) const MIGRATION_TAIL_MAX_OPS: usize = 100_000;
 
 impl EsdbConfig {
     /// Sensible embedded defaults: 16 shards, dynamic routing, balancing
@@ -86,7 +90,7 @@ impl EsdbConfig {
             telemetry: TelemetryConfig::default(),
             write_fault: None,
             commit_wait_ms: 0,
-            migration_tail_max_ops: 100_000,
+            migration_tail_max_ops: MIGRATION_TAIL_MAX_OPS,
         }
     }
 
@@ -145,9 +149,13 @@ impl EsdbConfig {
         self.commit_wait_ms = ms;
         self
     }
+}
 
-    /// Overrides the captured-tail bound for live migrations.
-    pub fn migration_tail_max_ops(mut self, ops: usize) -> Self {
+#[cfg(test)]
+impl EsdbConfig {
+    /// Test seam: overrides the captured-tail bound (`0` forces the
+    /// tail-overflow abort).
+    pub(crate) fn migration_tail_max_ops(mut self, ops: usize) -> Self {
         self.migration_tail_max_ops = ops;
         self
     }

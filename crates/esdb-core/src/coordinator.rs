@@ -163,16 +163,6 @@ pub(crate) fn step_migrations(ws: &WriteState) {
     }
 }
 
-/// Aborts every live migration; returns how many there were.
-pub(crate) fn abort_migrations(ws: &WriteState) -> usize {
-    let _step = ws.migrations.step_lock.lock();
-    let tenants = active_tenants(ws);
-    for t in &tenants {
-        abort_migration(ws, *t);
-    }
-    tenants.len()
-}
-
 /// One phase transition for one tenant's migration.
 fn step_one_migration(ws: &WriteState, tenant: TenantId) {
     let Some((phase, t_eff, new_span, overflowed, needs_recovery)) =
@@ -589,6 +579,17 @@ fn abort_migration(ws: &WriteState, tenant: TenantId) {
             .counter("esdb_migration_aborted_total", Labels::none())
             .inc();
     }
+}
+
+/// Aborts every live migration; returns how many there were.
+#[cfg(test)]
+pub(crate) fn abort_migrations(ws: &WriteState) -> usize {
+    let _step = ws.migrations.step_lock.lock();
+    let tenants = active_tenants(ws);
+    for t in &tenants {
+        abort_migration(ws, *t);
+    }
+    tenants.len()
 }
 
 #[cfg(test)]

@@ -2,9 +2,7 @@
 //! around the read and write handles that own the data plane.
 
 use crate::config::{EsdbConfig, RoutingMode};
-use crate::coordinator::{
-    abort_migrations, complete_cutover_by_scan, rebalance_pass, step_migrations,
-};
+use crate::coordinator::{complete_cutover_by_scan, rebalance_pass, step_migrations};
 use crate::migrate::{MigrationPhase, MigrationStatus, MigrationTable, RulesLog};
 use crate::read::EsdbReader;
 use crate::stats::CoreTimers;
@@ -175,11 +173,6 @@ impl Esdb {
     /// The collection schema.
     pub fn schema(&self) -> &CollectionSchema {
         &self.reader.schema
-    }
-
-    /// The scatter-gather parallelism degree in effect.
-    pub fn parallelism(&self) -> usize {
-        self.reader.executor.parallelism()
     }
 
     /// Changes the scatter-gather parallelism degree at runtime (`1` =
@@ -389,14 +382,6 @@ impl Esdb {
         done(&self.writer.state.migrations.statuses()) - before
     }
 
-    /// Aborts every live migration: staged plans and tails are dropped,
-    /// the balancer re-armed. Committed rules stay (spans never
-    /// shrink); unmoved rows remain readable at their old placement.
-    /// Returns how many migrations were aborted.
-    pub fn abort_migrations(&mut self) -> usize {
-        abort_migrations(&self.writer.state)
-    }
-
     /// The shared telemetry facade (registry, slow-query log, config).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.reader.telemetry
@@ -434,6 +419,22 @@ impl Esdb {
             .iter()
             .map(|slot| slot.engine.read().stats().live_docs)
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl Esdb {
+    /// The scatter-gather parallelism degree in effect.
+    pub(crate) fn parallelism(&self) -> usize {
+        self.reader.executor.parallelism()
+    }
+
+    /// Aborts every live migration: staged plans and tails are dropped,
+    /// the balancer re-armed. Committed rules stay (spans never
+    /// shrink); unmoved rows remain readable at their old placement.
+    /// Returns how many migrations were aborted.
+    pub(crate) fn abort_migrations(&mut self) -> usize {
+        crate::coordinator::abort_migrations(&self.writer.state)
     }
 }
 

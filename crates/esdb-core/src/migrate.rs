@@ -109,7 +109,7 @@ pub struct MigrationStatus {
 
 impl MigrationStatus {
     /// Renders one status as a JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\"tenant\": {}, \"old_span\": {}, \"new_span\": {}, \"effective_time\": {}, \
              \"phase\": \"{}\", \"rows_moved\": {}, \"bytes_shipped\": {}, \

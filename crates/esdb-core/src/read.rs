@@ -102,7 +102,8 @@ impl EsdbReader {
     /// Point lookup by routing triple against the routed shard's pinned
     /// snapshot (lock-free; sees data as of the last refresh, like a
     /// query). Fenced like a query: waits out a migration cutover and
-    /// retries if the routing version moved between route and pin.
+    /// retries if the routing version moved between route and pin. A row
+    /// of another tenant that happens to share `record` is not returned.
     pub fn get(
         &self,
         tenant: TenantId,
@@ -117,6 +118,7 @@ impl EsdbReader {
                 .snapshots
                 .pin()
                 .get_record(record.raw())
+                .filter(|doc| doc.tenant_id == tenant)
                 .cloned();
             if self.migrations.version() == v {
                 return doc;
@@ -129,11 +131,6 @@ impl EsdbReader {
     /// afterwards.
     pub fn pin_snapshot(&self, shard: ShardId) -> Arc<ShardSnapshot> {
         self.shards[shard.index()].snapshots.pin()
-    }
-
-    /// The collection schema.
-    pub fn schema(&self) -> &CollectionSchema {
-        &self.schema
     }
 
     /// `(filter, request)` cache counters; all zero for a disabled tier.
@@ -529,6 +526,17 @@ mod tests {
             .unwrap();
         assert_eq!(rows.docs.len(), 3);
         assert_eq!(rows.docs[0].record_id, RecordId(49));
+    }
+
+    #[test]
+    fn get_returns_only_the_callers_tenant() {
+        let (mut db, driver) = open("get-tenant", |c| c.shards(1));
+        let (w, rd) = (db.writer(), db.reader());
+        let t = driver.now();
+        w.insert(doc(1, 7, t)).unwrap();
+        db.refresh();
+        assert!(rd.get(TenantId(1), RecordId(7), t).is_some());
+        assert_eq!(rd.get(TenantId(2), RecordId(7), t), None);
     }
 
     #[test]

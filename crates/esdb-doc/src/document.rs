@@ -84,21 +84,6 @@ impl Document {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The "attributes" column rendered the way the MySQL predecessor stored
-    /// it: all sub-attributes concatenated into one string (paper §1).
-    pub fn attrs_concatenated(&self) -> String {
-        let mut s = String::new();
-        for (i, (k, v)) in self.attrs.iter().enumerate() {
-            if i > 0 {
-                s.push(';');
-            }
-            s.push_str(k);
-            s.push(':');
-            s.push_str(v);
-        }
-        s
-    }
-
     /// Approximate in-memory size in bytes, used by the simulator to model
     /// storage growth per shard.
     pub fn approx_size(&self) -> usize {
@@ -244,7 +229,6 @@ mod tests {
         let d = doc();
         assert_eq!(d.attr("size"), Some("XL"));
         assert_eq!(d.attr("color"), None);
-        assert_eq!(d.attrs_concatenated(), "activity:single-day;size:XL");
     }
 
     #[test]

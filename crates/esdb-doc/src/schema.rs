@@ -141,14 +141,6 @@ impl CollectionSchema {
     pub fn in_scan_list(&self, column: &str) -> bool {
         self.scan_list.iter().any(|c| c == column)
     }
-
-    /// Composite indexes whose leftmost column is `column`.
-    pub fn composites_starting_with(&self, column: &str) -> Vec<&CompositeIndexDef> {
-        self.composite_indexes
-            .iter()
-            .filter(|c| c.columns.first().map(String::as_str) == Some(column))
-            .collect()
-    }
 }
 
 /// Builder for [`CollectionSchema`].
@@ -182,13 +174,13 @@ impl SchemaBuilder {
     }
 
     /// Adds a column to the sequential-scan list.
-    pub fn scan(mut self, column: &str) -> Self {
+    pub(crate) fn scan(mut self, column: &str) -> Self {
         self.schema.scan_list.push(column.to_string());
         self
     }
 
     /// Sets the frequency-based sub-attribute indexing budget.
-    pub fn attr_top_k(mut self, k: usize) -> Self {
+    pub(crate) fn attr_top_k(mut self, k: usize) -> Self {
         self.schema.attr_index_top_k = k;
         self
     }
@@ -224,9 +216,15 @@ mod tests {
     #[test]
     fn composite_lookup_by_leading_column() {
         let s = CollectionSchema::transaction_logs();
-        let c = s.composites_starting_with("tenant_id");
+        let leading = |column: &str| {
+            s.composite_indexes
+                .iter()
+                .filter(|c| c.columns.first().map(String::as_str) == Some(column))
+                .collect::<Vec<_>>()
+        };
+        let c = leading("tenant_id");
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].columns, vec!["tenant_id", "created_time"]);
-        assert!(s.composites_starting_with("status").is_empty());
+        assert!(leading("status").is_empty());
     }
 }

@@ -6,8 +6,8 @@
 //! For range predicates to work on the concatenation, each value's byte
 //! encoding must compare (as unsigned bytes) exactly like the value itself,
 //! and the concatenation must respect field boundaries. [`FieldValue`]
-//! provides `encode_ordered` / `decode_ordered` with those guarantees,
-//! property-tested in this module and in the index crate.
+//! provides `encode_ordered` with those guarantees, property-tested
+//! against a decoder in this module and in the index crate.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -103,43 +103,6 @@ impl FieldValue {
         }
     }
 
-    /// Returns the string payload if this is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            FieldValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the timestamp payload if this is a `Timestamp`.
-    pub fn as_timestamp(&self) -> Option<u64> {
-        match self {
-            FieldValue::Timestamp(t) => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// Returns the float payload if this is a `Float`.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            FieldValue::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Returns the bool payload if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            FieldValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// True if `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, FieldValue::Null)
-    }
-
     /// Appends an order-preserving encoding of this value to `out`.
     ///
     /// Properties (byte-wise unsigned comparison of encodings):
@@ -200,10 +163,41 @@ impl FieldValue {
         self.encode_ordered(&mut v);
         v
     }
+}
 
-    /// Decodes one value from the front of `buf`, returning the value and
-    /// the number of bytes consumed. Returns `None` on malformed input.
-    pub fn decode_ordered(buf: &[u8]) -> Option<(FieldValue, usize)> {
+impl From<i64> for FieldValue {
+    fn from(v: i64) -> Self {
+        FieldValue::Int(v)
+    }
+}
+
+impl From<bool> for FieldValue {
+    fn from(v: bool) -> Self {
+        FieldValue::Bool(v)
+    }
+}
+
+impl From<&str> for FieldValue {
+    fn from(v: &str) -> Self {
+        FieldValue::Str(v.to_string())
+    }
+}
+
+impl From<String> for FieldValue {
+    fn from(v: String) -> Self {
+        FieldValue::Str(v)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Inverse of [`FieldValue::encode_ordered`], the oracle for the
+    /// round-trip tests: decodes one value from the front of `buf`,
+    /// returning the value and the number of bytes consumed. Returns
+    /// `None` on malformed input.
+    fn decode_ordered(buf: &[u8]) -> Option<(FieldValue, usize)> {
         let tag = *buf.first()?;
         match tag {
             0x00 => Some((FieldValue::Null, 1)),
@@ -252,35 +246,6 @@ impl FieldValue {
             _ => None,
         }
     }
-}
-
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::Int(v)
-    }
-}
-
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
-    }
-}
-
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
     use proptest::prelude::*;
 
     #[test]
@@ -333,7 +298,7 @@ mod tests {
         let ea = a.to_ordered_bytes();
         let eb = b.to_ordered_bytes();
         assert!(ea < eb);
-        let (da, na) = FieldValue::decode_ordered(&ea).unwrap();
+        let (da, na) = decode_ordered(&ea).unwrap();
         assert_eq!(da, a);
         assert_eq!(na, ea.len());
     }
@@ -350,13 +315,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(FieldValue::decode_ordered(&[]).is_none());
-        assert!(FieldValue::decode_ordered(&[0x09]).is_none());
-        assert!(FieldValue::decode_ordered(&[0x02, 1, 2]).is_none());
+        assert!(decode_ordered(&[]).is_none());
+        assert!(decode_ordered(&[0x09]).is_none());
+        assert!(decode_ordered(&[0x02, 1, 2]).is_none());
         // Unterminated string.
-        assert!(FieldValue::decode_ordered(&[0x05, b'a']).is_none());
+        assert!(decode_ordered(&[0x05, b'a']).is_none());
         // Bad escape.
-        assert!(FieldValue::decode_ordered(&[0x05, 0x00, 0x01]).is_none());
+        assert!(decode_ordered(&[0x05, 0x00, 0x01]).is_none());
     }
 
     fn arb_value() -> impl Strategy<Value = FieldValue> {
@@ -376,7 +341,7 @@ mod tests {
         #[test]
         fn prop_encode_decode_roundtrip(v in arb_value()) {
             let enc = v.to_ordered_bytes();
-            let (dec, n) = FieldValue::decode_ordered(&enc).expect("decodes");
+            let (dec, n) = decode_ordered(&enc).expect("decodes");
             prop_assert_eq!(n, enc.len());
             // -0.0 == 0.0 under PartialEq; ordering encoding distinguishes
             // them, so compare via Ord (Equal) rather than bitwise.

@@ -33,12 +33,6 @@ fn is_cjk(c: char) -> bool {
 }
 
 impl Analyzer {
-    /// Analyzer with a custom token length cap.
-    pub fn new(max_token_len: usize) -> Self {
-        assert!(max_token_len > 0);
-        Analyzer { max_token_len }
-    }
-
     /// Tokenizes `text` into normalized terms.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
@@ -57,12 +51,6 @@ impl Analyzer {
         }
         self.flush(&mut current, &mut tokens);
         tokens
-    }
-
-    /// Normalizes a single term the same way tokens are normalized, so
-    /// query terms match indexed terms.
-    pub fn normalize_term(&self, term: &str) -> String {
-        term.to_lowercase()
     }
 
     fn flush(&self, current: &mut String, tokens: &mut Vec<String>) {
@@ -108,7 +96,7 @@ mod tests {
 
     #[test]
     fn long_tokens_dropped() {
-        let a = Analyzer::new(4);
+        let a = Analyzer { max_token_len: 4 };
         assert_eq!(a.tokenize("ab abcde cd"), vec!["ab", "cd"]);
     }
 
@@ -121,7 +109,7 @@ mod tests {
     #[test]
     fn normalize_matches_tokenization() {
         let a = Analyzer::default();
-        let toks = a.tokenize("HardCover");
-        assert_eq!(toks[0], a.normalize_term("HARDCOVER"));
+        // Query terms go through the same `tokenize` as indexed text.
+        assert_eq!(a.tokenize("HardCover"), a.tokenize("HARDCOVER"));
     }
 }

@@ -47,21 +47,6 @@ impl SegmentBuilder {
         self.docs.push(doc);
     }
 
-    /// Number of buffered documents.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
-    /// Approximate buffered bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.size_bytes
-    }
-
     /// Freezes the buffer into a segment with id `id`, leaving the builder
     /// empty and reusable.
     pub fn refresh(&mut self, id: SegmentId) -> Segment {
@@ -75,17 +60,6 @@ impl SegmentBuilder {
             &self.indexed_attrs,
             size_bytes,
         )
-    }
-
-    /// Replaces the indexed-attribute set for future refreshes (the
-    /// frequency tracker re-ranks periodically).
-    pub fn set_indexed_attrs(&mut self, attrs: FastSet<String>) {
-        self.indexed_attrs = attrs;
-    }
-
-    /// The schema this builder indexes for.
-    pub fn schema(&self) -> &CollectionSchema {
-        &self.schema
     }
 }
 
@@ -373,9 +347,9 @@ mod tests {
         for d in sample_docs() {
             b.add(d);
         }
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.docs.len(), 3);
         let s = b.refresh(7);
-        assert!(b.is_empty(), "refresh drains the buffer");
+        assert!(b.docs.is_empty(), "refresh drains the buffer");
         s
     }
 

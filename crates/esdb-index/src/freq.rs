@@ -42,16 +42,6 @@ impl AttrFrequencyTracker {
         }
     }
 
-    /// Total recorded occurrences.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of distinct sub-attributes seen.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The current top-k sub-attribute names (ties broken by name for
     /// determinism).
     pub fn top_k(&self, k: usize) -> FastSet<String> {
@@ -98,8 +88,8 @@ mod tests {
         let top2 = t.top_k(2);
         assert!(top2.contains("activity") && top2.contains("size"));
         assert!(!top2.contains("material"));
-        assert_eq!(t.distinct(), 3);
-        assert_eq!(t.total(), 16);
+        assert_eq!(t.counts.len(), 3);
+        assert_eq!(t.total, 16);
     }
 
     #[test]
@@ -124,7 +114,7 @@ mod tests {
             ("b".to_string(), "2".to_string()),
         ];
         t.record_write(&attrs);
-        assert_eq!(t.total(), 2);
+        assert_eq!(t.total, 2);
     }
 
     #[test]

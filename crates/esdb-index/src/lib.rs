@@ -31,6 +31,6 @@ pub use analyzer::Analyzer;
 pub use builder::SegmentBuilder;
 pub use freq::AttrFrequencyTracker;
 pub use merge::{MergePolicy, TieredMergePolicy};
-pub use postings::{BlockStats, BlockView, PostingList, BLOCK_SIZE};
+pub use postings::{BlockStats, BlockView, PostingList};
 pub use segment::{ColumnValues, DocId, Segment, SegmentId};
 pub use snapshot::SnapshotView;

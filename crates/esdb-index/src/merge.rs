@@ -159,7 +159,7 @@ mod tests {
         let schema = CollectionSchema::transaction_logs();
         let merged = merge_segments(3, &[&a, &b], &schema, &fast_set());
         assert_eq!(merged.id, 3);
-        assert_eq!(merged.doc_count(), 9, "delete purged during merge");
+        assert_eq!(merged.core.docs.len(), 9, "delete purged during merge");
         assert_eq!(merged.live_count(), 9);
         // All surviving records findable; deleted one gone.
         assert!(merged.find_record(4).is_some());

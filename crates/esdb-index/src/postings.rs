@@ -1,7 +1,7 @@
 //! Posting lists and their algebra.
 //!
 //! A posting list is a strictly-increasing sequence of segment-local doc
-//! IDs, stored as fixed [`BLOCK_SIZE`]-entry blocks with per-block max
+//! IDs, stored as fixed `BLOCK_SIZE`-entry blocks with per-block max
 //! skip data (the block min is the block's first entry, so min/max are
 //! both O(1)). Query plans (paper Fig. 7/8) are trees of intersections
 //! and unions over posting lists; their cost is dominated by list
@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 /// Entries per posting block. Chosen to keep one block of doc ids (512 B)
 /// plus its decoded column values inside L1 while amortizing the per-block
 /// skip probe over enough elements to matter.
-pub const BLOCK_SIZE: usize = 128;
+pub(crate) const BLOCK_SIZE: usize = 128;
 
 /// Work counters for block-wise set operations: how many blocks had their
 /// elements examined (`scanned`), were jumped over via skip data without
@@ -41,14 +41,9 @@ impl BlockStats {
         self.skipped += other.skipped;
         self.pruned += other.pruned;
     }
-
-    /// Total blocks accounted for.
-    pub fn total(&self) -> u64 {
-        self.scanned + self.skipped + self.pruned
-    }
 }
 
-/// A borrowed view of one posting block: at most [`BLOCK_SIZE`] strictly
+/// A borrowed view of one posting block: at most `BLOCK_SIZE` strictly
 /// increasing doc ids. Blocks handed out by [`PostingList::blocks`] are
 /// never empty, so `min`/`max` are total.
 #[derive(Debug, Clone, Copy)]
@@ -62,23 +57,13 @@ impl<'a> BlockView<'a> {
         self.ids
     }
 
-    /// Number of ids in the block (1..=BLOCK_SIZE).
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the block is empty (never true for blocks from a list).
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Smallest id in the block.
-    pub fn min(&self) -> DocId {
+    pub(crate) fn min(&self) -> DocId {
         self.ids[0]
     }
 
     /// Largest id in the block.
-    pub fn max(&self) -> DocId {
+    pub(crate) fn max(&self) -> DocId {
         self.ids[self.ids.len() - 1]
     }
 }
@@ -168,23 +153,17 @@ impl PostingList {
     }
 
     /// Number of blocks (`len` divided by [`BLOCK_SIZE`], rounded up).
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.skip.len()
     }
 
     /// The `b`-th block (never empty for `b < num_blocks()`).
-    pub fn block(&self, b: usize) -> BlockView<'_> {
+    pub(crate) fn block(&self, b: usize) -> BlockView<'_> {
         let start = b * BLOCK_SIZE;
         let end = ((b + 1) * BLOCK_SIZE).min(self.ids.len());
         BlockView {
             ids: &self.ids[start..end],
         }
-    }
-
-    /// Largest id in block `b` — the skip datum, read without touching
-    /// the block's elements.
-    pub fn block_max(&self, b: usize) -> DocId {
-        self.skip[b]
     }
 
     /// Iterates the list block-at-a-time.
@@ -206,7 +185,7 @@ impl PostingList {
         self.block(b).ids.binary_search(&id).is_ok()
     }
 
-    /// Intersection. See [`PostingList::intersect_stats`].
+    /// Intersection. See `PostingList::intersect_stats`.
     pub fn intersect(&self, other: &PostingList) -> PostingList {
         self.intersect_stats(other, &mut BlockStats::default())
     }
@@ -218,7 +197,11 @@ impl PostingList {
     /// large list when the size ratio is heavily skewed (the common case
     /// when one predicate is much more selective, which is what composite
     /// indexes produce).
-    pub fn intersect_stats(&self, other: &PostingList, stats: &mut BlockStats) -> PostingList {
+    pub(crate) fn intersect_stats(
+        &self,
+        other: &PostingList,
+        stats: &mut BlockStats,
+    ) -> PostingList {
         let (small, large) = if self.len() <= other.len() {
             (self, other)
         } else {
@@ -551,12 +534,12 @@ mod tests {
         let ids: Vec<u32> = (0..300).map(|i| i * 3).collect();
         let p = PostingList::from_sorted(ids.clone());
         assert_eq!(p.num_blocks(), 3);
-        assert_eq!(p.block(0).len(), BLOCK_SIZE);
-        assert_eq!(p.block(2).len(), 300 - 2 * BLOCK_SIZE);
+        assert_eq!(p.block(0).ids().len(), BLOCK_SIZE);
+        assert_eq!(p.block(2).ids().len(), 300 - 2 * BLOCK_SIZE);
         assert_eq!(p.block(0).min(), 0);
         assert_eq!(p.block(0).max(), 127 * 3);
-        assert_eq!(p.block_max(0), 127 * 3);
-        assert_eq!(p.block_max(2), 299 * 3);
+        assert_eq!(p.skip[0], 127 * 3);
+        assert_eq!(p.skip[2], 299 * 3);
         let rebuilt: Vec<u32> = p.blocks().flat_map(|b| b.ids().to_vec()).collect();
         assert_eq!(rebuilt, ids);
     }
@@ -568,8 +551,8 @@ mod tests {
             p.push(i * 2);
         }
         assert_eq!(p.num_blocks(), 2);
-        assert_eq!(p.block_max(0), (BLOCK_SIZE as u32 - 1) * 2);
-        assert_eq!(p.block_max(1), BLOCK_SIZE as u32 * 2);
+        assert_eq!(p.skip[0], (BLOCK_SIZE as u32 - 1) * 2);
+        assert_eq!(p.skip[1], BLOCK_SIZE as u32 * 2);
         // Equivalent to a bulk build.
         assert_eq!(
             p,
@@ -693,7 +676,7 @@ mod tests {
         fn prop_skip_data_is_consistent(a in arb_ids()) {
             let p = pl(&a);
             for (b, blk) in p.blocks().enumerate() {
-                prop_assert_eq!(p.block_max(b), blk.max());
+                prop_assert_eq!(p.skip[b], blk.max());
                 prop_assert_eq!(p.block(b).ids(), blk.ids());
             }
             prop_assert_eq!(p.num_blocks(), p.len().div_ceil(BLOCK_SIZE));

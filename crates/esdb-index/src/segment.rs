@@ -25,7 +25,7 @@ pub type DocId = u32;
 /// Order-preserving mapping from `f64` to `u64` (IEEE-754 total order,
 /// NaN excluded upstream): used as the sort key of f64 numeric indexes.
 #[inline]
-pub fn f64_sort_key(x: f64) -> u64 {
+pub(crate) fn f64_sort_key(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
         !b
@@ -37,7 +37,7 @@ pub fn f64_sort_key(x: f64) -> u64 {
 pub type SegmentId = u64;
 
 /// Encoded lower/upper bounds for a composite range lookup.
-pub type EncodedRange<'a> = (Bound<&'a [u8]>, Bound<&'a [u8]>);
+pub(crate) type EncodedRange<'a> = (Bound<&'a [u8]>, Bound<&'a [u8]>);
 
 /// Columnar doc values for one field.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,21 +63,6 @@ impl ColumnValues {
             ColumnValues::Str(v) => v.get(i)?.clone().map(FieldValue::Str),
         }
     }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnValues::I64(v) => v.len(),
-            ColumnValues::F64(v) => v.len(),
-            ColumnValues::U64(v) => v.len(),
-            ColumnValues::Str(v) => v.len(),
-        }
-    }
-
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// A composite index: sorted `(concatenated-key, doc)` pairs.
@@ -91,19 +76,9 @@ pub struct CompositeIndex {
 
 impl CompositeIndex {
     /// Builds from unsorted entries.
-    pub fn build(columns: Vec<String>, mut entries: Vec<(Vec<u8>, DocId)>) -> Self {
+    pub(crate) fn build(columns: Vec<String>, mut entries: Vec<(Vec<u8>, DocId)>) -> Self {
         entries.sort();
         CompositeIndex { columns, entries }
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Docs whose key starts with `prefix` (the equality part), optionally
@@ -112,7 +87,7 @@ impl CompositeIndex {
     /// `range` bounds are order-preserving encodings of the range column's
     /// values. The sentinel byte `0xFF` never occurs as a field tag, so
     /// `prefix ++ [0xFF]` upper-bounds every extension of `prefix`.
-    pub fn lookup(&self, prefix: &[u8], range: Option<EncodedRange<'_>>) -> PostingList {
+    pub(crate) fn lookup(&self, prefix: &[u8], range: Option<EncodedRange<'_>>) -> PostingList {
         let (lo_key, hi_key): (Vec<u8>, Vec<u8>) = match range {
             None => {
                 let mut hi = prefix.to_vec();
@@ -243,11 +218,6 @@ impl Segment {
         }
     }
 
-    /// Total docs including deleted.
-    pub fn doc_count(&self) -> usize {
-        self.core.docs.len()
-    }
-
     /// Live (non-deleted) docs.
     pub fn live_count(&self) -> usize {
         self.live.count
@@ -264,14 +234,14 @@ impl Segment {
     }
 
     /// Whether `id` is live.
-    pub fn is_live(&self, id: DocId) -> bool {
+    pub(crate) fn is_live(&self, id: DocId) -> bool {
         self.live.bits.get(id as usize).copied().unwrap_or(false)
     }
 
     /// Whether every doc in the segment is live (no tombstones): the
     /// block read path hands out stored posting blocks zero-copy when
     /// this holds.
-    pub fn fully_live(&self) -> bool {
+    pub(crate) fn fully_live(&self) -> bool {
         self.live.count == self.core.docs.len()
     }
 
@@ -311,7 +281,7 @@ impl Segment {
     }
 
     /// Drops deleted docs from a posting list.
-    pub fn filter_live(&self, list: PostingList) -> PostingList {
+    pub(crate) fn filter_live(&self, list: PostingList) -> PostingList {
         if self.live.count == self.core.docs.len() {
             return list;
         }
@@ -322,7 +292,7 @@ impl Segment {
         )
     }
 
-    /// [`Segment::filter_live`] over a borrowed list: callers holding a
+    /// `Segment::filter_live` over a borrowed list: callers holding a
     /// shared (e.g. cached) posting list skip the upfront clone when
     /// tombstones force a rebuild anyway.
     pub fn filter_live_ref(&self, list: &PostingList) -> PostingList {

@@ -82,7 +82,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// The column the function reads, if any.
-    pub fn column(&self) -> Option<&str> {
+    pub(crate) fn column(&self) -> Option<&str> {
         match self {
             AggFunc::Count => None,
             AggFunc::CountField(c)
@@ -149,7 +149,7 @@ pub fn aggregate(rows: &[Document], func: &AggFunc) -> FieldValue {
 /// values, and what shards ship to the coordinator so AVG merges without
 /// loss.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AggPartial {
+pub(crate) enum AggPartial {
     /// Row / present-value counter (COUNT and COUNT(col)).
     Count(u64),
     /// Running sum of numeric values.
@@ -171,7 +171,7 @@ pub enum AggPartial {
 
 impl AggPartial {
     /// The empty partial for `func`.
-    pub fn new(func: &AggFunc) -> AggPartial {
+    pub(crate) fn new(func: &AggFunc) -> AggPartial {
         match func {
             AggFunc::Count | AggFunc::CountField(_) => AggPartial::Count(0),
             AggFunc::Sum(_) => AggPartial::Sum(0.0),
@@ -184,7 +184,7 @@ impl AggPartial {
     /// Folds one row's column value into the partial (`None` = column
     /// missing on that row). For `AggFunc::Count` the value is ignored and
     /// every row counts.
-    pub fn accumulate(&mut self, func: &AggFunc, v: Option<FieldValue>) {
+    pub(crate) fn accumulate(&mut self, func: &AggFunc, v: Option<FieldValue>) {
         match self {
             AggPartial::Count(c) => {
                 if matches!(func, AggFunc::Count) || v.is_some() {
@@ -235,7 +235,7 @@ impl AggPartial {
     /// in segment/shard order, so the tie-breaking rules of
     /// [`accumulate`](AggPartial::accumulate) carry over to the merged
     /// result.
-    pub fn merge(&mut self, other: AggPartial) {
+    pub(crate) fn merge(&mut self, other: AggPartial) {
         match (self, other) {
             (AggPartial::Count(a), AggPartial::Count(b)) => *a += b,
             (AggPartial::Sum(a), AggPartial::Sum(b)) => *a += b,
@@ -270,7 +270,7 @@ impl AggPartial {
     /// Finishes the partial into the final [`FieldValue`], with the exact
     /// semantics of [`aggregate`] (SUM of nothing = 0.0, AVG of nothing =
     /// NULL, MIN/MAX of nothing = NULL).
-    pub fn finish(&self) -> FieldValue {
+    pub(crate) fn finish(&self) -> FieldValue {
         match self {
             AggPartial::Count(c) => FieldValue::Int(*c as i64),
             AggPartial::Sum(s) => FieldValue::Float(*s),
@@ -322,7 +322,7 @@ pub struct AggResult {
 pub struct AggPartials {
     /// Partial states per group key (`None` key = no GROUP BY / missing
     /// group column).
-    pub groups: BTreeMap<Option<FieldValue>, Vec<AggPartial>>,
+    pub(crate) groups: BTreeMap<Option<FieldValue>, Vec<AggPartial>>,
     /// Posting entries materialized while filtering.
     pub postings_scanned: u64,
     /// Documents touched by scan filters.
@@ -337,7 +337,11 @@ pub struct AggPartials {
 
 impl AggPartials {
     /// The partial row for `key`, created from `funcs` on first touch.
-    pub fn entry(&mut self, key: Option<FieldValue>, funcs: &[AggFunc]) -> &mut Vec<AggPartial> {
+    pub(crate) fn entry(
+        &mut self,
+        key: Option<FieldValue>,
+        funcs: &[AggFunc],
+    ) -> &mut Vec<AggPartial> {
         self.groups
             .entry(key)
             .or_insert_with(|| funcs.iter().map(AggPartial::new).collect())

@@ -16,7 +16,7 @@ pub enum Bound {
 
 impl Bound {
     /// The bound's value, if any.
-    pub fn value(&self) -> Option<&FieldValue> {
+    pub(crate) fn value(&self) -> Option<&FieldValue> {
         match self {
             Bound::Unbounded => None,
             Bound::Included(v) | Bound::Excluded(v) => Some(v),
@@ -52,7 +52,7 @@ pub enum Expr {
 impl Expr {
     /// AST depth (the metric Xdriver4ES's CNF/DNF conversion reduces,
     /// §3.1).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         match self {
             Expr::And(cs) | Expr::Or(cs) => 1 + cs.iter().map(Expr::depth).max().unwrap_or(0),
             _ => 1,
@@ -60,7 +60,7 @@ impl Expr {
     }
 
     /// Number of leaf predicates.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         match self {
             Expr::And(cs) | Expr::Or(cs) => cs.iter().map(Expr::leaf_count).sum(),
             Expr::True => 0,
@@ -118,12 +118,12 @@ impl Expr {
 
 /// Equality across the Int/Timestamp divide (SQL comparisons don't care
 /// which of the two a column was declared as).
-pub fn values_eq(a: &FieldValue, b: &FieldValue) -> bool {
+pub(crate) fn values_eq(a: &FieldValue, b: &FieldValue) -> bool {
     cmp_values(a, b) == Some(std::cmp::Ordering::Equal)
 }
 
 /// Comparison across numeric-ish types; `None` for incomparable types.
-pub fn cmp_values(a: &FieldValue, b: &FieldValue) -> Option<std::cmp::Ordering> {
+pub(crate) fn cmp_values(a: &FieldValue, b: &FieldValue) -> Option<std::cmp::Ordering> {
     use FieldValue::*;
     match (a, b) {
         (Int(x), Int(y)) => Some(x.cmp(y)),

@@ -38,7 +38,7 @@ fn valid_date(y: i64, m: u32, d: u32) -> bool {
 
 /// Parses `YYYY-MM-DD` or `YYYY-MM-DD HH:MM:SS` into epoch milliseconds.
 /// Returns `None` for malformed or impossible datetimes.
-pub fn parse_datetime(s: &str) -> Option<u64> {
+pub(crate) fn parse_datetime(s: &str) -> Option<u64> {
     let s = s.trim();
     let (date_part, time_part) = match s.split_once(' ') {
         Some((d, t)) => (d, Some(t)),
@@ -74,7 +74,7 @@ pub fn parse_datetime(s: &str) -> Option<u64> {
 
 /// Formats epoch milliseconds back to `YYYY-MM-DD HH:MM:SS` (UTC) — the
 /// inverse mapping used when rendering results to a SQL client.
-pub fn format_datetime(ms: u64) -> String {
+pub(crate) fn format_datetime(ms: u64) -> String {
     let secs = (ms / 1_000) as i64;
     let days = secs.div_euclid(86_400);
     let sod = secs.rem_euclid(86_400);

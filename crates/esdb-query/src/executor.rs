@@ -437,7 +437,7 @@ fn execute_plan(plan: &Plan, seg: &Segment, analyzer: &Analyzer, work: &mut Work
 /// id, plan fingerprint)`. Segment ids are only unique *within* a shard
 /// (each shard engine numbers from 1), so the shard index is part of the
 /// key.
-pub type FilterCacheKey = (u32, SegmentId, u128);
+pub(crate) type FilterCacheKey = (u32, SegmentId, u128);
 
 /// Tier-1 cache: per-segment posting lists of cacheable sub-plans,
 /// weighted by approximate resident bytes.
@@ -507,11 +507,6 @@ impl<'p> PreparedPlan<'p> {
             plan,
             root: annotate(plan),
         }
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &'p Plan {
-        self.plan
     }
 }
 
@@ -585,13 +580,13 @@ pub fn execute_on_segments(
     execute_plan_on_segments(query, &plan, segments)
 }
 
-/// Executes a pre-built plan (the figure harness uses this to time plans).
+/// Executes a pre-built plan.
 ///
 /// Like Elasticsearch's query-then-fetch, matching is done on doc IDs and
 /// only the rows surviving ORDER BY / LIMIT are materialized (the paper
 /// appends `LIMIT 100` to every benchmark query precisely so fetch cost
 /// does not dominate).
-pub fn execute_plan_on_segments(query: &Query, plan: &Plan, segments: &[&Segment]) -> QueryRows {
+fn execute_plan_on_segments(query: &Query, plan: &Plan, segments: &[&Segment]) -> QueryRows {
     collect_and_fetch(query, segments, |seg, analyzer, work| {
         execute_plan(plan, seg, analyzer, work)
     })
@@ -599,7 +594,7 @@ pub fn execute_plan_on_segments(query: &Query, plan: &Plan, segments: &[&Segment
 
 /// Executes a prepared plan with the segment filter cache. With
 /// `cache: None` this is byte-identical to [`execute_plan_on_segments`].
-pub fn execute_prepared_on_segments(
+fn execute_prepared_on_segments(
     query: &Query,
     prepared: &PreparedPlan<'_>,
     segments: &[&Segment],

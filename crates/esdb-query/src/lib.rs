@@ -27,16 +27,15 @@ pub mod sql;
 pub mod xdriver;
 
 pub use aggregate::{
-    aggregate, aggregate_rows, merge_results, AggFunc, AggPartial, AggPartials, AggResult, AggRow,
+    aggregate, aggregate_rows, merge_results, AggFunc, AggPartials, AggResult, AggRow,
 };
 pub use ast::{Bound, Expr, OrderBy, Query};
 pub use executor::{
     aggregate_blocks_on_snapshot, aggregate_prepared_blocks_on_snapshot,
     aggregate_pushdown_eligible, aggregate_scalar_on_snapshot, block_eligible,
-    execute_blocks_on_snapshot, execute_on_segments, execute_on_snapshot, execute_plan_on_segments,
-    execute_prepared_blocks_on_snapshot, execute_prepared_on_segments,
-    execute_prepared_on_snapshot, FilterCacheContext, FilterCacheKey, PreparedPlan, QueryOptions,
-    QueryRows, SegmentFilterCache,
+    execute_blocks_on_snapshot, execute_on_segments, execute_on_snapshot,
+    execute_prepared_blocks_on_snapshot, execute_prepared_on_snapshot, FilterCacheContext,
+    PreparedPlan, QueryOptions, QueryRows, SegmentFilterCache,
 };
 pub use optimizer::optimize;
 pub use plan::{query_fingerprint, Plan};

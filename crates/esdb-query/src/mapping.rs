@@ -18,7 +18,7 @@ pub struct SqlRow {
 }
 
 /// Renders one value the way a SQL driver would print it.
-pub fn render_value(v: &FieldValue) -> Option<String> {
+pub(crate) fn render_value(v: &FieldValue) -> Option<String> {
     match v {
         FieldValue::Null => None,
         FieldValue::Bool(b) => Some(if *b { "1".into() } else { "0".into() }),

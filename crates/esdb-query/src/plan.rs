@@ -53,28 +53,6 @@ pub enum Plan {
 }
 
 impl Plan {
-    /// Number of index/scan operators — a quick plan-complexity metric.
-    pub fn operator_count(&self) -> usize {
-        match self {
-            Plan::All | Plan::Empty => 1,
-            Plan::CompositeScan { .. } | Plan::IndexPredicate(_) => 1,
-            Plan::ScanFilter { input, .. } => 1 + input.operator_count(),
-            Plan::Intersect(ps) | Plan::Union(ps) => {
-                1 + ps.iter().map(Plan::operator_count).sum::<usize>()
-            }
-        }
-    }
-
-    /// Whether the plan contains a composite-index scan.
-    pub fn uses_composite(&self) -> bool {
-        match self {
-            Plan::CompositeScan { .. } => true,
-            Plan::ScanFilter { input, .. } => input.uses_composite(),
-            Plan::Intersect(ps) | Plan::Union(ps) => ps.iter().any(Plan::uses_composite),
-            _ => false,
-        }
-    }
-
     /// Whether per-segment results of this plan may be cached.
     ///
     /// Cacheable: composite scans, single-index predicates, and
@@ -82,7 +60,7 @@ impl Plan {
     /// cacheable: `ScanFilter` residuals (their cost is in the scan, and
     /// caching them would pin large intermediate lists for little reuse)
     /// and the trivial `All`/`Empty` plans (nothing to save).
-    pub fn cacheable(&self) -> bool {
+    pub(crate) fn cacheable(&self) -> bool {
         match self {
             Plan::CompositeScan { .. } | Plan::IndexPredicate(_) => true,
             Plan::Intersect(ps) | Plan::Union(ps) => {
@@ -145,7 +123,7 @@ impl Plan {
     }
 
     /// The plan's canonical 128-bit fingerprint.
-    pub fn fingerprint(&self) -> u128 {
+    pub(crate) fn fingerprint(&self) -> u128 {
         let mut buf = Vec::with_capacity(128);
         self.encode_canonical(&mut buf);
         stable_hash128(&buf)
@@ -362,6 +340,32 @@ impl fmt::Display for Plan {
             }
         }
         go(self, f, 0)
+    }
+}
+
+#[cfg(test)]
+impl Plan {
+    /// Number of index/scan operators — a quick plan-complexity metric the
+    /// optimizer tests assert on.
+    pub(crate) fn operator_count(&self) -> usize {
+        match self {
+            Plan::All | Plan::Empty => 1,
+            Plan::CompositeScan { .. } | Plan::IndexPredicate(_) => 1,
+            Plan::ScanFilter { input, .. } => 1 + input.operator_count(),
+            Plan::Intersect(ps) | Plan::Union(ps) => {
+                1 + ps.iter().map(Plan::operator_count).sum::<usize>()
+            }
+        }
+    }
+
+    /// Whether the plan contains a composite-index scan.
+    pub(crate) fn uses_composite(&self) -> bool {
+        match self {
+            Plan::CompositeScan { .. } => true,
+            Plan::ScanFilter { input, .. } => input.uses_composite(),
+            Plan::Intersect(ps) | Plan::Union(ps) => ps.iter().any(Plan::uses_composite),
+            _ => false,
+        }
     }
 }
 

@@ -36,7 +36,7 @@ pub fn normalize_choose(e: Expr) -> Expr {
 }
 
 /// Flatten + merge, recursively (idempotent).
-pub fn normalize(e: Expr) -> Expr {
+pub(crate) fn normalize(e: Expr) -> Expr {
     match e {
         Expr::And(children) => {
             let mut flat = Vec::new();
@@ -241,7 +241,7 @@ fn range_empty(lo: &Bound, hi: &Bound) -> bool {
 }
 
 /// Distributes AND over OR to reach disjunctive normal form.
-pub fn to_dnf(e: Expr) -> Expr {
+pub(crate) fn to_dnf(e: Expr) -> Expr {
     match e {
         Expr::And(children) => {
             // DNF each child, then take the cross product of OR branches.

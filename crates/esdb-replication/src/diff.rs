@@ -13,7 +13,7 @@ pub struct SnapshotInfo {
 
 impl SnapshotInfo {
     /// Segment ids in the snapshot.
-    pub fn ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
         self.segments.iter().map(|&(id, _)| id)
     }
 }
@@ -26,13 +26,6 @@ pub struct SegmentDiff {
     pub to_fetch: Vec<SegmentId>,
     /// Local segments the primary no longer has (merged away / deleted).
     pub to_delete: Vec<SegmentId>,
-}
-
-impl SegmentDiff {
-    /// Whether the replica is already converged.
-    pub fn is_empty(&self) -> bool {
-        self.to_fetch.is_empty() && self.to_delete.is_empty()
-    }
 }
 
 /// Computes the diff between the primary's snapshot and the replica's local
@@ -54,6 +47,14 @@ pub fn segment_diff(primary: &SnapshotInfo, replica_local: &[SegmentId]) -> Segm
     SegmentDiff {
         to_fetch,
         to_delete,
+    }
+}
+
+#[cfg(test)]
+impl SegmentDiff {
+    /// Whether the replica is already converged.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.to_fetch.is_empty() && self.to_delete.is_empty()
     }
 }
 

@@ -45,24 +45,6 @@ pub struct ReplicationMetrics {
     pub visibility_delays_ms: Vec<u64>,
 }
 
-impl ReplicationMetrics {
-    /// Mean visibility delay, ms.
-    pub fn mean_visibility_delay_ms(&self) -> f64 {
-        if self.visibility_delays_ms.is_empty() {
-            0.0
-        } else {
-            self.visibility_delays_ms.iter().sum::<u64>() as f64
-                / self.visibility_delays_ms.len() as f64
-        }
-    }
-
-    /// Total index executions across primary and replica — the CPU proxy
-    /// for Fig. 15(b).
-    pub fn total_index_ops(&self) -> u64 {
-        self.primary_index_ops + self.replica_index_ops
-    }
-}
-
 /// A primary with one replica (the paper's deployment: "each shard has one
 /// replica" §3).
 pub struct ReplicatedPair {
@@ -129,11 +111,6 @@ impl ReplicatedPair {
     pub fn with_journal(mut self, journal: Arc<Journal>, shard: u32, primary_node: u32) -> Self {
         self.journal = Some((journal, shard, primary_node));
         self
-    }
-
-    /// The replication mode.
-    pub fn mode(&self) -> ReplicationMode {
-        self.mode
     }
 
     /// Applies a write on the primary and forwards per the mode. The
@@ -279,14 +256,6 @@ impl ReplicatedPair {
         &mut self.primary
     }
 
-    /// Pins the primary's published point-in-time snapshot — the normal
-    /// read path. Lock-free: the view stays valid and answers
-    /// identically regardless of concurrent writes, refreshes, or
-    /// merges on the pair.
-    pub fn read_snapshot(&self) -> Arc<ShardSnapshot> {
-        self.primary.pin_snapshot()
-    }
-
     /// Pins a point-in-time view served by the *survivor* when the
     /// primary is unavailable (degraded reads, §5.2): under logical
     /// replication this is the replica engine's published snapshot;
@@ -327,18 +296,6 @@ impl ReplicatedPair {
                 self.replica_segments.values().map(|s| s.live_count()).sum()
             }
         }
-    }
-
-    /// Segment ids installed on the replica (physical mode).
-    pub fn replica_segment_ids(&self) -> Vec<SegmentId> {
-        let mut v: Vec<SegmentId> = self.replica_segments.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Whether an incremental replication currently holds segment locks.
-    pub fn has_locked_segments(&self) -> bool {
-        !self.locked.is_empty()
     }
 
     /// Replication metrics.
@@ -393,6 +350,13 @@ mod tests {
     use super::*;
     use esdb_common::{RecordId, TenantId};
     use esdb_doc::Document;
+
+    /// Segment ids installed on the replica (physical mode), sorted.
+    fn replica_segment_ids(p: &ReplicatedPair) -> Vec<SegmentId> {
+        let mut v: Vec<SegmentId> = p.replica_segments.keys().copied().collect();
+        v.sort_unstable();
+        v
+    }
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("esdb-repl-{name}-{}", std::process::id()));
@@ -452,7 +416,7 @@ mod tests {
             "translog synced in real time"
         );
         assert!(p.metrics().segment_bytes_shipped > 0);
-        assert!(!p.has_locked_segments(), "locks released after replication");
+        assert!(p.locked.is_empty(), "locks released after replication");
     }
 
     #[test]
@@ -470,7 +434,7 @@ mod tests {
             p.refresh().unwrap();
         }
         assert_eq!(p.replica_live_docs(), 30);
-        assert_eq!(p.replica_segment_ids().len(), 3);
+        assert_eq!(replica_segment_ids(&p).len(), 3);
     }
 
     #[test]
@@ -491,9 +455,9 @@ mod tests {
             .maybe_merge()
             .expect("tiered policy merges 4 small segments");
         // Replica still has the 4 old segments until the next refresh cycle.
-        assert!(!p.replica_segment_ids().contains(&merged));
+        assert!(!replica_segment_ids(&p).contains(&merged));
         p.refresh().unwrap();
-        assert_eq!(p.replica_segment_ids(), vec![merged]);
+        assert_eq!(replica_segment_ids(&p), vec![merged]);
         assert_eq!(p.replica_live_docs(), 40);
     }
 
@@ -514,13 +478,13 @@ mod tests {
         let before = p.metrics().segments_shipped_incremental;
         let merged = p.maybe_merge().unwrap();
         // Shipped eagerly on the pre-replication path.
-        assert!(p.replica_segment_ids().contains(&merged));
+        assert!(replica_segment_ids(&p).contains(&merged));
         assert_eq!(p.metrics().segments_shipped_prereplicated, 1);
         p.refresh().unwrap();
         // The follow-up incremental pass only *deleted* merged-away
         // segments; the merged one was not re-shipped.
         assert_eq!(p.metrics().segments_shipped_incremental, before);
-        assert_eq!(p.replica_segment_ids(), vec![merged]);
+        assert_eq!(replica_segment_ids(&p), vec![merged]);
         assert_eq!(p.replica_live_docs(), 40);
     }
 
@@ -546,7 +510,6 @@ mod tests {
         driver.advance(250);
         p.replicate_incremental();
         assert_eq!(p.metrics().visibility_delays_ms, vec![250]);
-        assert!((p.metrics().mean_visibility_delay_ms() - 250.0).abs() < 1e-9);
     }
 
     #[test]
@@ -644,7 +607,7 @@ mod tests {
         p.primary_mut().force_merge(&live);
         p.refresh().unwrap();
         assert_eq!(
-            p.replica_segment_ids().len(),
+            replica_segment_ids(&p).len(),
             1,
             "replica converged to the merged segment"
         );

@@ -23,7 +23,7 @@ pub mod rules;
 pub mod span;
 
 pub use policy::{
-    base_shard, place, DoubleHashRouting, DynamicRouting, HashRouting, PolicyKind, RoutingPolicy,
+    place, DoubleHashRouting, DynamicRouting, HashRouting, PolicyKind, RoutingPolicy,
 };
 pub use rules::{RuleList, SecondaryHashingRule};
 pub use span::ShardSpan;

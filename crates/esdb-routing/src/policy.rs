@@ -19,17 +19,6 @@ pub enum PolicyKind {
     DynamicSecondaryHashing,
 }
 
-impl PolicyKind {
-    /// Human-readable name as used in the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Hashing => "Hashing",
-            PolicyKind::DoubleHashing => "Double hashing",
-            PolicyKind::DynamicSecondaryHashing => "Dynamic secondary hashing",
-        }
-    }
-}
-
 /// A routing policy: maps writes to shards and reads to shard spans.
 pub trait RoutingPolicy: Send + Sync {
     /// Routes a write identified by `(k1, k2, tc)` to a shard.
@@ -48,7 +37,7 @@ pub trait RoutingPolicy: Send + Sync {
 
 /// Base shard of tenant `k1` on a ring of `n` shards.
 #[inline]
-pub fn base_shard(k1: TenantId, n: u32) -> u32 {
+pub(crate) fn base_shard(k1: TenantId, n: u32) -> u32 {
     h1(k1.raw()) % n
 }
 
@@ -107,11 +96,6 @@ impl DoubleHashRouting {
             n,
             s: s.clamp(1, n),
         }
-    }
-
-    /// The static offset.
-    pub fn s(&self) -> u32 {
-        self.s
     }
 }
 
@@ -186,35 +170,6 @@ impl DynamicRouting {
     /// Shared handle to the rule list (the balancer writes through this).
     pub fn rules(&self) -> Arc<RwLock<RuleList>> {
         self.rules.clone()
-    }
-
-    /// The offset `L(k1)` a new write created at `tc` would use.
-    pub fn offset_for_write(&self, k1: TenantId, tc: TimestampMs) -> u32 {
-        self.rules.read().offset_for_write(k1, tc)
-    }
-
-    /// The rule-list mutation counter (see [`RuleList::version`]).
-    pub fn rules_version(&self) -> u64 {
-        self.rules.read().version()
-    }
-
-    /// Rule-version-aware span resolution: the tenant's read span plus
-    /// the rule-list version it was computed under, read atomically under
-    /// one lock hold. A query that observes a different version after its
-    /// fan-out gathered knows it straddled a rule commit or a migration
-    /// cutover and can re-resolve.
-    ///
-    /// The span itself is already the union of every historical placement
-    /// (`offset_for_read` takes the max `s`, and same-base spans nest),
-    /// so "old ∪ new" needs no second span — the version is what tells
-    /// the caller the boundary moved under it.
-    pub fn read_span_versioned(&self, k1: TenantId, now: TimestampMs) -> (ShardSpan, u64) {
-        let rules = self.rules.read();
-        let s = rules.offset_for_read(k1, now);
-        (
-            ShardSpan::new(base_shard(k1, self.n), s.min(self.n), self.n),
-            rules.version(),
-        )
     }
 }
 

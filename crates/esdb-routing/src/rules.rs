@@ -62,10 +62,6 @@ pub struct RuleList {
     /// pre-rule records now *live* at their new-span placement, so point
     /// ops on them must route there.
     migrated: FastMap<TenantId, u32>,
-    /// Bumped on every mutation (rule append or migration marking).
-    /// Routing consumers snapshot this to detect a rule-boundary change
-    /// between two reads of the list.
-    version: u64,
 }
 
 impl RuleList {
@@ -75,7 +71,6 @@ impl RuleList {
             rules: Vec::new(),
             by_tenant: fast_map(),
             migrated: fast_map(),
-            version: 0,
         }
     }
 
@@ -119,7 +114,6 @@ impl RuleList {
         let entry = self.by_tenant.entry(k).or_default();
         let pos = entry.partition_point(|&(et, _)| et <= t);
         entry.insert(pos, (t, s));
-        self.version += 1;
     }
 
     /// Marks a tenant's data as physically migrated up to `offset`: every
@@ -133,22 +127,14 @@ impl RuleList {
             return false;
         }
         self.migrated.insert(k1, offset);
-        self.version += 1;
         true
     }
 
     /// The largest offset the tenant's historical data has been migrated
     /// to (`1` = nothing migrated; records live where their creation-time
     /// rule matching put them).
-    pub fn migrated_offset(&self, k1: TenantId) -> u32 {
+    pub(crate) fn migrated_offset(&self, k1: TenantId) -> u32 {
         self.migrated.get(&k1).copied().unwrap_or(1)
-    }
-
-    /// Mutation counter: changes iff a rule was appended or a migration
-    /// was marked complete since the last observation. Lets the query
-    /// path detect that its span resolution straddled a rule boundary.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Inserts a whole committed rule (used when applying a consensus
@@ -198,21 +184,10 @@ impl RuleList {
             .unwrap_or(1)
     }
 
-    /// The current offset a tenant would get for a brand-new record
-    /// (equivalent to `offset_for_write` with `tc = now + ε`).
-    pub fn current_offset(&self, k1: TenantId, now: TimestampMs) -> u32 {
-        self.offset_for_read(k1, now)
-    }
-
     /// Latest effective time in the list (used by consensus participants to
     /// validate that a proposed rule is in their future).
     pub fn max_effective_time(&self) -> Option<TimestampMs> {
         self.rules.iter().map(|r| r.effective_time).max()
-    }
-
-    /// Tenants that currently have any rule.
-    pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.by_tenant.keys().copied()
     }
 }
 
@@ -320,19 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn migration_marking_is_monotone_and_versioned() {
+    fn migration_marking_is_monotone() {
         let mut r = RuleList::new();
-        let v0 = r.version();
         r.update(100, 4, TenantId(1));
-        assert!(r.version() > v0);
-        let v1 = r.version();
         assert!(r.mark_migrated(TenantId(1), 4));
-        assert!(r.version() > v1);
-        let v2 = r.version();
         // Idempotent / shrink attempts change nothing.
         assert!(!r.mark_migrated(TenantId(1), 4));
         assert!(!r.mark_migrated(TenantId(1), 2));
-        assert_eq!(r.version(), v2);
         assert_eq!(r.migrated_offset(TenantId(1)), 4);
     }
 

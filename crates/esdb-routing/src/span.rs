@@ -33,7 +33,7 @@ impl ShardSpan {
 
     /// The shard at offset `i` within the span.
     #[inline]
-    pub fn at(&self, i: u32) -> ShardId {
+    pub(crate) fn at(&self, i: u32) -> ShardId {
         debug_assert!(i < self.len);
         ShardId((self.base + i) % self.n)
     }

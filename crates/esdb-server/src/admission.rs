@@ -48,16 +48,6 @@ pub struct RateLimit {
     pub per_sec: u64,
 }
 
-impl RateLimit {
-    /// A limit of `per_sec` requests/second with an equal burst.
-    pub fn per_sec(per_sec: u64) -> Self {
-        RateLimit {
-            capacity: per_sec.max(1),
-            per_sec,
-        }
-    }
-}
-
 /// Admission-control configuration.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
@@ -116,7 +106,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Wire error code.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             RejectReason::Quota => "quota_exceeded",
             RejectReason::Rate => "rate_limited",
@@ -125,7 +115,7 @@ impl RejectReason {
     }
 
     /// Label value for `esdb_server_rejected_total{stage=...}`.
-    pub fn stage(&self) -> &'static str {
+    pub(crate) fn stage(&self) -> &'static str {
         match self {
             RejectReason::Quota => "quota",
             RejectReason::Rate => "rate",
@@ -272,18 +262,13 @@ impl AdmissionController {
         }
     }
 
-    /// The configuration this controller runs with.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.inner.config
-    }
-
     /// Current globally in-flight request count.
-    pub fn global_inflight(&self) -> u32 {
+    pub(crate) fn global_inflight(&self) -> u32 {
         self.inner.global_inflight.load(Ordering::Acquire)
     }
 
     /// Tries to open a connection slot; `false` = at `max_connections`.
-    pub fn try_open_connection(&self) -> bool {
+    pub(crate) fn try_open_connection(&self) -> bool {
         let max = self.inner.config.max_connections;
         self.inner
             .connections
@@ -294,12 +279,12 @@ impl AdmissionController {
     }
 
     /// Releases a connection slot.
-    pub fn close_connection(&self) {
+    pub(crate) fn close_connection(&self) {
         self.inner.connections.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Currently open connections.
-    pub fn connections(&self) -> u32 {
+    pub(crate) fn connections(&self) -> u32 {
         self.inner.connections.load(Ordering::Acquire)
     }
 
@@ -574,7 +559,10 @@ mod tests {
     fn quota_blocks_until_permit_drops() {
         let cfg = AdmissionConfig {
             per_tenant_inflight: 2,
-            default_rate: RateLimit::per_sec(1_000_000),
+            default_rate: RateLimit {
+                capacity: 1_000_000,
+                per_sec: 1_000_000,
+            },
             ..AdmissionConfig::default()
         };
         let (c, _clock) = controller(cfg);
@@ -608,7 +596,10 @@ mod tests {
             overload_inflight: 2,
             shed_proportion: 0.5,
             per_tenant_inflight: 1000,
-            default_rate: RateLimit::per_sec(1_000_000),
+            default_rate: RateLimit {
+                capacity: 1_000_000,
+                per_sec: 1_000_000,
+            },
             ..AdmissionConfig::default()
         };
         let (c, _clock) = controller(cfg);
@@ -642,7 +633,10 @@ mod tests {
             shed_proportion: 0.0,
             shedding: false,
             per_tenant_inflight: 1000,
-            default_rate: RateLimit::per_sec(1_000_000),
+            default_rate: RateLimit {
+                capacity: 1_000_000,
+                per_sec: 1_000_000,
+            },
             ..AdmissionConfig::default()
         };
         let (c, _clock) = controller(cfg);

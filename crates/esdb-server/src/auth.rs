@@ -63,16 +63,6 @@ impl TokenTable {
     pub fn resolve(&self, token: &str) -> Option<Identity> {
         self.tokens.get(token).copied()
     }
-
-    /// Number of registered tokens.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether no token is registered.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -93,6 +83,6 @@ mod tests {
         );
         assert!(t.resolve("root").unwrap().admin);
         assert_eq!(t.resolve("nope"), None);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.tokens.len(), 2);
     }
 }

@@ -53,7 +53,7 @@ pub fn ensure_confined(sql: &str, tenant: TenantId) -> Result<(), WireError> {
 /// * `OR` confines only when *every* branch does.
 /// * Everything else (including `Ne`, open ranges, and filters that
 ///   never mention `tenant_id`) does not confine.
-pub fn filter_confined_to(filter: &Expr, tenant: TenantId) -> bool {
+pub(crate) fn filter_confined_to(filter: &Expr, tenant: TenantId) -> bool {
     match filter {
         Expr::Eq(col, v) => col == TENANT_COL && value_is_tenant(v, tenant),
         Expr::In(col, vs) => {

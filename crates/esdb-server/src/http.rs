@@ -20,7 +20,7 @@ use std::time::Instant;
 const MAX_HEAD: usize = 16 * 1024;
 /// Longest accepted body in bytes (defense against a hostile client
 /// holding a worker thread on an unbounded read).
-pub const MAX_BODY: usize = 8 * 1024 * 1024;
+pub(crate) const MAX_BODY: usize = 8 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct Request {
 
 impl Request {
     /// First header with the given lower-case name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -57,7 +57,7 @@ impl Request {
 
     /// Whether the client asked to drop the connection after this
     /// exchange.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }

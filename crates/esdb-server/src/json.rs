@@ -35,7 +35,7 @@ pub enum Json {
 
 impl Json {
     /// Member lookup on an object (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -43,7 +43,7 @@ impl Json {
     }
 
     /// The value as `u64` (accepts `UInt` and non-negative `Int`).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(v) => Some(*v),
             Json::Int(v) if *v >= 0 => Some(*v as u64),
@@ -52,7 +52,7 @@ impl Json {
     }
 
     /// The value as `i64` (accepts `Int` and in-range `UInt`).
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
             Json::UInt(v) => i64::try_from(*v).ok(),
@@ -61,7 +61,7 @@ impl Json {
     }
 
     /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -69,7 +69,7 @@ impl Json {
     }
 
     /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -77,7 +77,7 @@ impl Json {
     }
 
     /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -145,7 +145,7 @@ impl Json {
 }
 
 /// Convenience constructor for an object literal.
-pub fn obj(members: Vec<(&str, Json)>) -> Json {
+pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(
         members
             .into_iter()
@@ -155,7 +155,7 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
 }
 
 /// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<Json, String> {
+pub(crate) fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,

@@ -45,11 +45,6 @@ impl TcpTransport {
         let addr = listener.local_addr()?;
         Ok(TcpTransport { listener, addr })
     }
-
-    /// The bound socket address.
-    pub fn socket_addr(&self) -> SocketAddr {
-        self.addr
-    }
 }
 
 impl Transport for TcpTransport {
@@ -109,7 +104,7 @@ mod tests {
         assert!(t.local_addr().starts_with("127.0.0.1:"));
         // Nothing connected yet.
         assert!(t.poll_accept().unwrap().is_none());
-        let client = TcpStream::connect(t.socket_addr()).unwrap();
+        let client = TcpStream::connect(t.addr).unwrap();
         // Accept may need a beat for the handshake to land.
         let mut accepted = None;
         for _ in 0..100 {

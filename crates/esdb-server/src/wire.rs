@@ -17,7 +17,7 @@
 
 use crate::json::{obj, parse, Json};
 use esdb_common::{EsdbError, RecordId, TenantId, TimestampMs};
-use esdb_doc::{Document, FieldValue, WriteKind, WriteOp};
+use esdb_doc::{Document, FieldValue, WriteOp};
 use esdb_query::{AggResult, AggRow, QueryRows};
 
 /// One write operation as it travels over the wire.
@@ -157,7 +157,7 @@ pub struct WireError {
 
 impl WireError {
     /// An error with just a code and message.
-    pub fn new(code: &str, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: &str, message: impl Into<String>) -> Self {
         WireError {
             code: code.to_string(),
             message: message.into(),
@@ -166,7 +166,7 @@ impl WireError {
     }
 
     /// Maps an engine error onto a wire code.
-    pub fn from_engine(e: &EsdbError) -> Self {
+    pub(crate) fn from_engine(e: &EsdbError) -> Self {
         let code = match e {
             EsdbError::Parse(_) => "parse",
             EsdbError::Plan(_) => "plan",
@@ -183,7 +183,7 @@ impl WireError {
     }
 
     /// The HTTP status the server pairs with this code.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self.code.as_str() {
             "auth" => 401,
             "forbidden" => 403,
@@ -202,7 +202,7 @@ impl WireError {
 // ---------------------------------------------------------------------
 
 /// Encodes a field value as a tagged object.
-pub fn encode_value(v: &FieldValue) -> Json {
+pub(crate) fn encode_value(v: &FieldValue) -> Json {
     match v {
         FieldValue::Null => obj(vec![("t", Json::Str("null".into()))]),
         FieldValue::Bool(b) => obj(vec![("t", Json::Str("bool".into())), ("v", Json::Bool(*b))]),
@@ -222,7 +222,7 @@ pub fn encode_value(v: &FieldValue) -> Json {
 }
 
 /// Decodes a tagged field value.
-pub fn decode_value(j: &Json) -> Result<FieldValue, String> {
+pub(crate) fn decode_value(j: &Json) -> Result<FieldValue, String> {
     let tag = j
         .get("t")
         .and_then(Json::as_str)
@@ -303,7 +303,7 @@ pub fn encode_doc(d: &Document) -> Json {
 
 /// Decodes a document (builder re-sorts fields, so decode ∘ encode is
 /// the identity — fields are emitted sorted).
-pub fn decode_doc(j: &Json) -> Result<Document, String> {
+pub(crate) fn decode_doc(j: &Json) -> Result<Document, String> {
     let tenant = j
         .get("tenant")
         .and_then(Json::as_u64)
@@ -581,7 +581,11 @@ pub fn decode_error(body: &str) -> Result<WireError, String> {
 }
 
 /// Encodes a point-lookup request (`POST /v1/get`).
-pub fn encode_get_request(tenant: TenantId, record: RecordId, created_at: TimestampMs) -> String {
+pub(crate) fn encode_get_request(
+    tenant: TenantId,
+    record: RecordId,
+    created_at: TimestampMs,
+) -> String {
     obj(vec![
         ("tenant", Json::UInt(tenant.0)),
         ("record", Json::UInt(record.0)),
@@ -591,7 +595,7 @@ pub fn encode_get_request(tenant: TenantId, record: RecordId, created_at: Timest
 }
 
 /// Decodes a point-lookup request.
-pub fn decode_get_request(body: &str) -> Result<(TenantId, RecordId, TimestampMs), String> {
+pub(crate) fn decode_get_request(body: &str) -> Result<(TenantId, RecordId, TimestampMs), String> {
     let j = parse(body)?;
     Ok((
         TenantId(
@@ -611,25 +615,16 @@ pub fn decode_get_request(body: &str) -> Result<(TenantId, RecordId, TimestampMs
 }
 
 /// Encodes a point-lookup response (`doc: null` = not found).
-pub fn encode_get_response(doc: Option<&Document>) -> String {
+pub(crate) fn encode_get_response(doc: Option<&Document>) -> String {
     obj(vec![("doc", doc.map_or(Json::Null, encode_doc))]).to_text()
 }
 
 /// Decodes a point-lookup response.
-pub fn decode_get_response(body: &str) -> Result<Option<Document>, String> {
+pub(crate) fn decode_get_response(body: &str) -> Result<Option<Document>, String> {
     let j = parse(body)?;
     match j.get("doc").ok_or("missing doc")? {
         Json::Null => Ok(None),
         d => decode_doc(d).map(Some),
-    }
-}
-
-/// `WriteKind` as its wire tag (used by logs).
-pub fn write_kind_name(kind: WriteKind) -> &'static str {
-    match kind {
-        WriteKind::Insert => "insert",
-        WriteKind::Update => "update",
-        WriteKind::Delete => "delete",
     }
 }
 

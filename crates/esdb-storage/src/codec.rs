@@ -11,7 +11,7 @@ use esdb_common::{EsdbError, RecordId, Result, TenantId};
 use esdb_doc::{Document, FieldValue, WriteKind, WriteOp};
 
 /// Encodes a [`FieldValue`] with a 1-byte tag.
-pub fn put_value(buf: &mut BytesMut, v: &FieldValue) {
+pub(crate) fn put_value(buf: &mut BytesMut, v: &FieldValue) {
     match v {
         FieldValue::Null => buf.put_u8(0),
         FieldValue::Bool(b) => {
@@ -38,7 +38,7 @@ pub fn put_value(buf: &mut BytesMut, v: &FieldValue) {
 }
 
 /// Decodes a [`FieldValue`].
-pub fn get_value(buf: &mut Bytes) -> Result<FieldValue> {
+pub(crate) fn get_value(buf: &mut Bytes) -> Result<FieldValue> {
     if buf.remaining() < 1 {
         return Err(EsdbError::Corruption("truncated value tag".into()));
     }
@@ -66,13 +66,13 @@ pub fn get_value(buf: &mut Bytes) -> Result<FieldValue> {
 }
 
 /// Length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
 /// Reads a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut Bytes) -> Result<String> {
+pub(crate) fn get_str(buf: &mut Bytes) -> Result<String> {
     check(buf, 4)?;
     let len = buf.get_u32_le() as usize;
     check(buf, len)?;
@@ -92,7 +92,7 @@ fn check(buf: &Bytes, need: usize) -> Result<()> {
 }
 
 /// Encodes a [`Document`].
-pub fn put_document(buf: &mut BytesMut, doc: &Document) {
+pub(crate) fn put_document(buf: &mut BytesMut, doc: &Document) {
     buf.put_u64_le(doc.tenant_id.raw());
     buf.put_u64_le(doc.record_id.raw());
     buf.put_u64_le(doc.created_at);
@@ -109,7 +109,7 @@ pub fn put_document(buf: &mut BytesMut, doc: &Document) {
 }
 
 /// Decodes a [`Document`].
-pub fn get_document(buf: &mut Bytes) -> Result<Document> {
+pub(crate) fn get_document(buf: &mut Bytes) -> Result<Document> {
     check(buf, 8 * 3 + 4)?;
     let tenant = TenantId(buf.get_u64_le());
     let record = RecordId(buf.get_u64_le());
@@ -166,7 +166,7 @@ pub fn decode_op(bytes: &[u8]) -> Result<WriteOp> {
 }
 
 /// Frames `payload` as `[len u32][checksum u32][payload]`.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&murmur3_32(payload, 0).to_le_bytes());
@@ -177,7 +177,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// Reads one frame from `data`, returning `(payload, bytes_consumed)`.
 /// `Ok(None)` means a clean end (no more bytes); a torn/corrupt frame is an
 /// error carrying how many clean bytes preceded it.
-pub fn read_frame(data: &[u8]) -> Result<Option<(&[u8], usize)>> {
+pub(crate) fn read_frame(data: &[u8]) -> Result<Option<(&[u8], usize)>> {
     if data.is_empty() {
         return Ok(None);
     }

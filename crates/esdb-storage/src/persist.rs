@@ -26,7 +26,7 @@ fn commit_path(dir: &Path) -> PathBuf {
 }
 
 /// Writes a segment's live documents to its file. Returns bytes written.
-pub fn write_segment(dir: &Path, segment: &Segment) -> Result<usize> {
+pub(crate) fn write_segment(dir: &Path, segment: &Segment) -> Result<usize> {
     std::fs::create_dir_all(dir)?;
     let mut body = BytesMut::new();
     for (_, doc) in segment.live_docs() {
@@ -44,7 +44,7 @@ pub fn write_segment(dir: &Path, segment: &Segment) -> Result<usize> {
 }
 
 /// Loads a segment file and rebuilds its indexes.
-pub fn load_segment(
+pub(crate) fn load_segment(
     dir: &Path,
     id: SegmentId,
     schema: &CollectionSchema,
@@ -72,7 +72,7 @@ pub fn load_segment(
 }
 
 /// Deletes a segment file (post-merge cleanup).
-pub fn remove_segment(dir: &Path, id: SegmentId) -> Result<()> {
+pub(crate) fn remove_segment(dir: &Path, id: SegmentId) -> Result<()> {
     let p = segment_path(dir, id);
     if p.exists() {
         std::fs::remove_file(p)?;
@@ -82,7 +82,11 @@ pub fn remove_segment(dir: &Path, id: SegmentId) -> Result<()> {
 
 /// Writes the commit point: the set of durable segment ids plus the next
 /// segment id counter.
-pub fn write_commit_point(dir: &Path, segment_ids: &[SegmentId], next_id: SegmentId) -> Result<()> {
+pub(crate) fn write_commit_point(
+    dir: &Path,
+    segment_ids: &[SegmentId],
+    next_id: SegmentId,
+) -> Result<()> {
     std::fs::create_dir_all(dir)?;
     let mut body = BytesMut::new();
     bytes::BufMut::put_u64_le(&mut body, next_id);
@@ -101,7 +105,7 @@ pub fn write_commit_point(dir: &Path, segment_ids: &[SegmentId], next_id: Segmen
 }
 
 /// Reads the commit point; `Ok(None)` when none exists (fresh shard).
-pub fn read_commit_point(dir: &Path) -> Result<Option<(Vec<SegmentId>, SegmentId)>> {
+pub(crate) fn read_commit_point(dir: &Path) -> Result<Option<(Vec<SegmentId>, SegmentId)>> {
     let path = commit_path(dir);
     if !path.exists() {
         return Ok(None);

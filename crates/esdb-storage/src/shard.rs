@@ -528,13 +528,6 @@ impl ShardEngine {
         self.published_generation = self.generation;
     }
 
-    /// Search generation: changes iff the result of some query over this
-    /// shard could change. Buffered (not-yet-refreshed) writes do *not*
-    /// bump it — they are invisible to search until refresh.
-    pub fn search_generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Looks up a live record across searchable segments, returning the
     /// stored document.
     pub fn get_record(&self, record_id: u64) -> Option<&Document> {
@@ -573,11 +566,6 @@ impl ShardEngine {
     /// engine lock; refresh reads the ranking through the same handle.
     pub fn attr_tracker(&self) -> Arc<Mutex<AttrFrequencyTracker>> {
         Arc::clone(&self.attr_tracker)
-    }
-
-    /// Currently indexed sub-attributes.
-    pub fn indexed_attrs(&self) -> &FastSet<String> {
-        &self.indexed_attrs
     }
 }
 

@@ -40,8 +40,6 @@ pub struct Translog {
     file: File,
     /// Ops appended since the last sync (for sync-batching stats).
     unsynced: usize,
-    /// Total ops appended in this generation.
-    ops_in_generation: usize,
     /// Optional chaos hook torn through every append.
     write_fault: Option<Arc<dyn WriteFault>>,
 }
@@ -60,13 +58,12 @@ impl Translog {
             generation,
             file,
             unsynced: 0,
-            ops_in_generation: 0,
             write_fault: None,
         })
     }
 
     /// Installs (or clears) the chaos append-fault hook.
-    pub fn set_write_fault(&mut self, fault: Option<Arc<dyn WriteFault>>) {
+    pub(crate) fn set_write_fault(&mut self, fault: Option<Arc<dyn WriteFault>>) {
         self.write_fault = fault;
     }
 
@@ -90,11 +87,6 @@ impl Translog {
         Ok(latest)
     }
 
-    /// Current generation number.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Appends one operation (buffered; call [`Translog::sync`] to make it
     /// durable).
     pub fn append(&mut self, op: &WriteOp) -> Result<()> {
@@ -116,7 +108,6 @@ impl Translog {
         }
         self.file.write_all(&framed)?;
         self.unsynced += 1;
-        self.ops_in_generation += 1;
         Ok(())
     }
 
@@ -150,7 +141,6 @@ impl Translog {
         match self.file.write_all(&buf) {
             Ok(()) => {
                 self.unsynced += ops.len();
-                self.ops_in_generation += ops.len();
                 ops.iter().map(|_| Ok(())).collect()
             }
             Err(e) => {
@@ -169,11 +159,6 @@ impl Translog {
     pub fn sync(&mut self) -> Result<usize> {
         self.file.sync_data()?;
         Ok(std::mem::take(&mut self.unsynced))
-    }
-
-    /// Ops appended to the current generation.
-    pub fn ops_in_generation(&self) -> usize {
-        self.ops_in_generation
     }
 
     /// Replays every generation in order. A torn final record (crash during
@@ -220,13 +205,12 @@ impl Translog {
 
     /// Rolls to a new generation after a successful flush, deleting older
     /// generations (their data is now durable in segment files).
-    pub fn roll_generation(&mut self) -> Result<()> {
+    pub(crate) fn roll_generation(&mut self) -> Result<()> {
         self.sync()?;
         let old = self.generation;
         self.generation += 1;
         let path = Self::gen_path(&self.dir, self.generation);
         self.file = OpenOptions::new().create(true).append(true).open(&path)?;
-        self.ops_in_generation = 0;
         // Delete all generations <= old.
         for g in 0..=old {
             let p = Self::gen_path(&self.dir, g);
@@ -292,8 +276,7 @@ mod tests {
         let mut t = Translog::open(&dir).unwrap();
         t.append(&op(1)).unwrap();
         t.roll_generation().unwrap();
-        assert_eq!(t.generation(), 1);
-        assert_eq!(t.ops_in_generation(), 0);
+        assert_eq!(t.generation, 1);
         assert!(t.replay().unwrap().is_empty(), "old generation deleted");
         t.append(&op(2)).unwrap();
         t.sync().unwrap();

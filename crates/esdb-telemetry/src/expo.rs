@@ -33,7 +33,7 @@ pub struct TelemetrySnapshot {
 
 impl TelemetrySnapshot {
     /// Snapshots a registry.
-    pub fn from_registry(registry: &MetricsRegistry) -> Self {
+    pub(crate) fn from_registry(registry: &MetricsRegistry) -> Self {
         let mut snap = TelemetrySnapshot::default();
         for (name, labels, metric) in registry.series() {
             match metric {

@@ -32,7 +32,7 @@ pub const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS as usize; 
 /// buckets; larger values land in one of 16 equal-width sub-buckets of
 /// their power-of-two range.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB {
         v as usize
     } else {
@@ -44,7 +44,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Inclusive upper bound of bucket `i` — the value quantiles report.
 #[inline]
-pub fn bucket_upper(i: usize) -> u64 {
+pub(crate) fn bucket_upper(i: usize) -> u64 {
     if i < SUB as usize {
         i as u64
     } else {
@@ -91,18 +91,6 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Records `n` observations of the same value.
-    #[inline]
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 

@@ -429,7 +429,7 @@ pub struct Event {
 
 impl Event {
     /// Renders the event as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\"seq\": {}, \"parent_seq\": {}, \"kind\": \"{}\", \"labels\": {}, \"data\": {{{}}}}}",
             self.seq,
@@ -467,17 +467,6 @@ impl Journal {
             next_seq: AtomicU64::new(1),
             evicted_max: AtomicU64::new(0),
         }
-    }
-
-    /// A disabled journal.
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
-    /// Whether emission is on.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.per_stripe > 0
     }
 
     /// Emits an event, returning its sequence number for use as a
@@ -525,19 +514,6 @@ impl Journal {
         all
     }
 
-    /// Retained event count.
-    pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("journal stripe").len())
-            .sum()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Highest sequence number ever evicted (0 = no eviction yet). A
     /// `parent_seq` at or below this is "explicitly evicted", not
     /// dangling.
@@ -562,7 +538,7 @@ pub fn unresolved_parents(events: &[Event], evicted_max: u64) -> Vec<u64> {
 }
 
 /// Renders a slice of events as a JSON array.
-pub fn events_to_json(events: &[Event]) -> String {
+pub(crate) fn events_to_json(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 2);
     out.push('[');
     for (i, e) in events.iter().enumerate() {
@@ -599,7 +575,7 @@ mod tests {
         for n in 0..200u32 {
             j.emit(EventKind::NodeCrashed { node: n }, Labels::none(), 0);
         }
-        assert!(j.len() <= 16 + STRIPES);
+        assert!(j.snapshot().len() <= 16 + STRIPES);
         assert!(j.evicted_max() > 0);
         // Everything retained is newer than everything evicted... per
         // stripe; globally the watermark bounds the oldest *possible*
@@ -641,13 +617,12 @@ mod tests {
 
     #[test]
     fn disabled_journal_emits_nothing() {
-        let j = Journal::disabled();
-        assert!(!j.enabled());
+        let j = Journal::new(0);
         assert_eq!(
             j.emit(EventKind::NodeCrashed { node: 0 }, Labels::none(), 0),
             NO_PARENT
         );
-        assert!(j.is_empty());
+        assert!(j.snapshot().is_empty());
     }
 
     #[test]

@@ -41,9 +41,9 @@ pub use expo::{
     json_histogram_counts, lint_prometheus, prometheus_histogram_counts, TelemetrySnapshot,
 };
 pub use histogram::{quantile, quantile_sorted, Histogram, HistogramSnapshot};
-pub use journal::{events_to_json, unresolved_parents, Event, EventKind, Journal, NO_PARENT};
-pub use registry::{Counter, Gauge, Labels, Metric, MetricsRegistry};
-pub use slowlog::{SlowQueryEntry, SlowQueryLog, SlowWriteEntry, SlowWriteLog};
+pub use journal::{unresolved_parents, Event, EventKind, Journal, NO_PARENT};
+pub use registry::{Counter, Gauge, Labels, MetricsRegistry};
+pub use slowlog::{SlowQueryEntry, SlowWriteEntry};
 pub use span::{QueryTrace, Span, StageSample};
 pub use telemetry::{Telemetry, TelemetryConfig};
-pub use trace_export::{chrome_trace_json, trace_json};
+pub use trace_export::chrome_trace_json;

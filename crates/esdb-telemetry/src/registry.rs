@@ -78,23 +78,6 @@ impl Labels {
         self.shard = Some(s);
         self
     }
-
-    /// Returns a copy with `node` set.
-    pub const fn with_node(mut self, n: u32) -> Labels {
-        self.node = Some(n);
-        self
-    }
-
-    /// Returns a copy with `stage` set.
-    pub const fn with_stage(mut self, st: &'static str) -> Labels {
-        self.stage = Some(st);
-        self
-    }
-
-    /// Whether no label is set.
-    pub fn is_empty(&self) -> bool {
-        self.tenant.is_none() && self.shard.is_none() && self.node.is_none() && self.stage.is_none()
-    }
 }
 
 /// Monotone counter. Updates are relaxed atomic adds.
@@ -131,12 +114,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -145,7 +122,7 @@ impl Gauge {
 
 /// A registered metric of any kind.
 #[derive(Debug, Clone)]
-pub enum Metric {
+pub(crate) enum Metric {
     /// Monotone counter.
     Counter(Arc<Counter>),
     /// Instantaneous gauge.
@@ -355,7 +332,7 @@ impl MetricsRegistry {
 
     /// Every registered series, sorted by `(name, labels)` so snapshots
     /// are deterministic.
-    pub fn series(&self) -> Vec<(&'static str, Labels, Metric)> {
+    pub(crate) fn series(&self) -> Vec<(&'static str, Labels, Metric)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
             for (&(name, labels), m) in stripe.read().expect("registry stripe").iter() {

@@ -96,95 +96,66 @@ impl<T: Clone> Ring<T> {
         let ring = self.ring.lock().expect("slow-log ring");
         (ring.len(), ring.iter().cloned().collect())
     }
-
-    fn len(&self) -> usize {
-        self.ring.lock().expect("slow-log ring").len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ring.lock().expect("slow-log ring").is_empty()
-    }
 }
 
 /// Bounded ring of [`SlowQueryEntry`]s, newest last.
 #[derive(Debug)]
-pub struct SlowQueryLog {
+pub(crate) struct SlowQueryLog {
     ring: Ring<SlowQueryEntry>,
 }
 
 impl SlowQueryLog {
     /// Ring holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         SlowQueryLog {
             ring: Ring::new(capacity),
         }
     }
 
     /// Appends an entry, evicting the oldest when full.
-    pub fn push(&self, entry: SlowQueryEntry) {
+    pub(crate) fn push(&self, entry: SlowQueryEntry) {
         self.ring.push(entry);
     }
 
     /// Copies out the current entries, oldest first.
-    pub fn entries(&self) -> Vec<SlowQueryEntry> {
+    pub(crate) fn entries(&self) -> Vec<SlowQueryEntry> {
         self.ring.entries()
     }
 
-    /// Length and entries under **one** lock hold — use this instead of
-    /// `len()` + `entries()` when both are needed, so the pair can't
+    /// Length and entries under **one** lock hold, so the pair can't
     /// tear across a concurrent push.
-    pub fn snapshot(&self) -> (usize, Vec<SlowQueryEntry>) {
+    pub(crate) fn snapshot(&self) -> (usize, Vec<SlowQueryEntry>) {
         self.ring.snapshot()
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the log is empty (no clone, one lock + length check).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 }
 
 /// Bounded ring of [`SlowWriteEntry`]s, newest last.
 #[derive(Debug)]
-pub struct SlowWriteLog {
+pub(crate) struct SlowWriteLog {
     ring: Ring<SlowWriteEntry>,
 }
 
 impl SlowWriteLog {
     /// Ring holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         SlowWriteLog {
             ring: Ring::new(capacity),
         }
     }
 
     /// Appends an entry, evicting the oldest when full.
-    pub fn push(&self, entry: SlowWriteEntry) {
+    pub(crate) fn push(&self, entry: SlowWriteEntry) {
         self.ring.push(entry);
     }
 
     /// Copies out the current entries, oldest first.
-    pub fn entries(&self) -> Vec<SlowWriteEntry> {
+    pub(crate) fn entries(&self) -> Vec<SlowWriteEntry> {
         self.ring.entries()
     }
 
     /// Length and entries under one lock hold.
-    pub fn snapshot(&self) -> (usize, Vec<SlowWriteEntry>) {
+    pub(crate) fn snapshot(&self) -> (usize, Vec<SlowWriteEntry>) {
         self.ring.snapshot()
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 }
 
@@ -230,7 +201,7 @@ mod tests {
     fn zero_capacity_drops_everything() {
         let log = SlowQueryLog::new(0);
         log.push(entry("a"));
-        assert!(log.is_empty());
+        assert!(log.entries().is_empty());
     }
 
     #[test]
@@ -247,7 +218,7 @@ mod tests {
     #[test]
     fn write_log_mirrors_query_log_semantics() {
         let log = SlowWriteLog::new(2);
-        assert!(log.is_empty());
+        assert!(log.entries().is_empty());
         log.push(write_entry(0));
         log.push(write_entry(1));
         log.push(write_entry(2));

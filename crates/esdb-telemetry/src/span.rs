@@ -77,7 +77,7 @@ impl QueryTrace {
 
     /// Nanoseconds elapsed since the trace origin. Public so hot paths
     /// can time several stages off one clock read via
-    /// [`QueryTrace::record_span`].
+    /// `QueryTrace::record_span`.
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -126,7 +126,7 @@ impl QueryTrace {
     /// read** — the caller times one or more stages off a shared
     /// [`QueryTrace::now_ns`] pair. This keeps tail-based capture cheap
     /// enough to run on every request.
-    pub fn record_span(
+    pub(crate) fn record_span(
         &self,
         stage: &'static str,
         parent: u64,
@@ -177,11 +177,6 @@ impl QueryTrace {
     /// Consumes the trace, returning samples ordered by completion time.
     pub fn into_samples(self) -> Vec<StageSample> {
         self.samples.into_inner().expect("trace samples")
-    }
-
-    /// Copies out the samples collected so far.
-    pub fn samples(&self) -> Vec<StageSample> {
-        self.samples.lock().expect("trace samples").clone()
     }
 }
 

@@ -53,7 +53,7 @@ impl Default for TelemetryConfig {
 
 impl TelemetryConfig {
     /// Everything off.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TelemetryConfig {
             enabled: false,
             ..TelemetryConfig::default()
@@ -86,7 +86,7 @@ impl Telemetry {
 
     /// Telemetry over an existing registry (so e.g. the workload monitor
     /// and the query path share one).
-    pub fn with_registry(config: TelemetryConfig, registry: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_registry(config: TelemetryConfig, registry: Arc<MetricsRegistry>) -> Self {
         let cap = if config.enabled {
             config.slow_log_capacity
         } else {
@@ -121,11 +121,6 @@ impl Telemetry {
     /// The shared registry.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
     }
 
     /// The event journal.
@@ -284,7 +279,7 @@ mod tests {
             t.emit(EventKind::NodeCrashed { node: 0 }, Labels::none(), 0),
             0
         );
-        assert!(t.journal().is_empty());
+        assert!(t.journal().snapshot().is_empty());
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn chrome_trace_json(trace_id: u64, samples: &[StageSample]) -> String {
 
 /// Renders samples as structured JSON: the lossless flat form (tree via
 /// `parent` ids), sorted by start offset then span id.
-pub fn trace_json(trace_id: u64, samples: &[StageSample]) -> String {
+pub(crate) fn trace_json(trace_id: u64, samples: &[StageSample]) -> String {
     let mut ordered: Vec<&StageSample> = samples.iter().collect();
     ordered.sort_by_key(|s| (s.start_ns, s.id));
     let mut out = String::with_capacity(samples.len() * 120 + 48);

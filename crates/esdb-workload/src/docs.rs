@@ -71,7 +71,6 @@ const TITLE_WORDS: &[&str] = &[
 pub struct DocGenerator {
     rng: StdRng,
     attr_zipf: ZipfSampler,
-    n_attrs: usize,
     attrs_per_doc: usize,
 }
 
@@ -82,24 +81,18 @@ impl DocGenerator {
         DocGenerator {
             rng: StdRng::seed_from_u64(seed),
             attr_zipf: ZipfSampler::new(n_attrs, 1.0),
-            n_attrs,
             attrs_per_doc,
         }
     }
 
-    /// Number of distinct sub-attribute names.
-    pub fn n_attrs(&self) -> usize {
-        self.n_attrs
-    }
-
     /// The canonical name of sub-attribute rank `r` (1-based).
-    pub fn attr_name(rank: usize) -> String {
+    pub(crate) fn attr_name(rank: usize) -> String {
         format!("attr_{rank:04}")
     }
 
     /// Samples a sub-attribute name from the Zipf popularity distribution
     /// (used for both writes and query filters, matching §6.3.3).
-    pub fn sample_attr_name(&mut self) -> String {
+    pub(crate) fn sample_attr_name(&mut self) -> String {
         Self::attr_name(self.attr_zipf.sample(&mut self.rng))
     }
 

@@ -46,7 +46,7 @@ impl RateSchedule {
     }
 
     /// The rate in effect at `t`.
-    pub fn rate_at(&self, t: TimestampMs) -> f64 {
+    pub(crate) fn rate_at(&self, t: TimestampMs) -> f64 {
         let idx = self.steps.partition_point(|&(from, _)| from <= t);
         if idx == 0 {
             self.steps[0].1
@@ -101,11 +101,6 @@ impl TraceGenerator {
         self.tenant_offset = tenant_offset;
         self.next_record = first_record;
         self
-    }
-
-    /// Number of tenants.
-    pub fn n_tenants(&self) -> usize {
-        self.rank_to_tenant.len()
     }
 
     /// The tenant currently mapped to Zipf rank `rank` (1-based).

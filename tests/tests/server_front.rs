@@ -362,6 +362,42 @@ fn queries_are_confined_to_the_token_tenant() {
     handle.shutdown();
 }
 
+/// A point get is confined like a query: tenant 2's token asking for
+/// tenant 1's record id (same routing shard) sees no row.
+#[test]
+fn get_does_not_cross_tenants() {
+    let mut db = Esdb::open(
+        CollectionSchema::transaction_logs(),
+        EsdbConfig::new(test_dir(&format!("srv-get-{}", rand::random::<u64>()))).shards(1),
+    )
+    .expect("open");
+    let a = sample_doc(1, 7, 0);
+    db.writer().insert(a.clone()).expect("insert t1");
+    db.refresh();
+    let (handle, addr) = serve(
+        db,
+        ServerConfig {
+            tokens: default_tokens(),
+            admission: AdmissionConfig::default(),
+        },
+    );
+
+    let mut t1 = EsdbClient::connect(&addr, "tok-1").expect("connect t1");
+    let own = t1
+        .get(TenantId(1), RecordId(7), a.created_at)
+        .expect("own get");
+    assert_eq!(own, Some(a.clone()));
+    let mut t2 = EsdbClient::connect(&addr, "tok-2").expect("connect t2");
+    let other = t2.get(TenantId(2), RecordId(7), a.created_at).expect("get");
+    assert_eq!(other, None, "tenant 2 must not read tenant 1's row");
+
+    // The admin client endpoints answer with JSON documents.
+    let mut admin = EsdbClient::connect(&addr, "root").expect("connect admin");
+    assert!(admin.admin_telemetry().expect("telemetry").starts_with('{'));
+    assert!(admin.admin_bundle().expect("bundle").starts_with('{'));
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Admission conservation under concurrency
 // ---------------------------------------------------------------------
