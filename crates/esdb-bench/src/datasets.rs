@@ -52,18 +52,22 @@ pub(crate) const DATASET_T0: u64 = 1_631_750_400_000; // 2021-09-16 00:00:00
 pub(crate) const DAY_MS: u64 = 86_400_000;
 
 /// Builds an embedded instance populated per `params`, refreshed and ready
-/// to query. Returns the db and the trace generator (for rank→tenant
-/// lookups).
-pub(crate) fn build_embedded(params: &DatasetParams, dir: PathBuf) -> (Esdb, TraceGenerator) {
+/// to query; `cfg` adjusts the engine configuration before opening.
+/// Returns the db and the trace generator (for rank→tenant lookups).
+pub(crate) fn build_embedded(
+    params: &DatasetParams,
+    dir: PathBuf,
+    cfg: impl FnOnce(EsdbConfig) -> EsdbConfig,
+) -> (Esdb, TraceGenerator) {
     let _ = std::fs::remove_dir_all(&dir);
     let mut schema = CollectionSchema::transaction_logs();
     schema.attr_index_top_k = params.attr_top_k;
     let (clock, driver) = SharedClock::manual(DATASET_T0);
     let mut db = Esdb::open_with_clock(
         schema,
-        EsdbConfig::new(dir)
+        cfg(EsdbConfig::new(dir)
             .shards(params.n_shards)
-            .routing(RoutingMode::Dynamic),
+            .routing(RoutingMode::Dynamic)),
         clock,
     )
     .expect("open dataset instance");
@@ -114,7 +118,7 @@ mod tests {
             ..DatasetParams::default()
         };
         let dir = std::env::temp_dir().join(format!("esdb-ds-test-{}", std::process::id()));
-        let (db, trace) = build_embedded(&params, dir);
+        let (db, trace) = build_embedded(&params, dir, |c| c);
         assert_eq!(db.stats().live_docs, 2_000);
         let top = trace.tenant_of_rank(1);
         let rows = db

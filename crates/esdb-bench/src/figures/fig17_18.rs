@@ -25,10 +25,37 @@ struct LatencyRun {
     per_tenant_mean_us: Vec<f64>,
     /// All latencies (µs).
     all_us: Vec<f64>,
+    /// `postings_scanned` summed over the timed queries.
+    postings: u64,
+    /// `docs_scanned` summed over the timed queries.
+    docs: u64,
+}
+
+impl LatencyRun {
+    fn new() -> Self {
+        LatencyRun {
+            per_tenant_mean_us: Vec::new(),
+            all_us: Vec::new(),
+            postings: 0,
+            docs: 0,
+        }
+    }
+
+    /// Times one query and counts its work.
+    fn time(&mut self, rd: &esdb_core::EsdbReader, sql: &str, opts: QueryOptions) -> f64 {
+        let start = Instant::now();
+        let rows = rd.query_opts(sql, opts).expect("query");
+        let us = start.elapsed().as_secs_f64() * 1e6;
+        std::hint::black_box(rows.docs.len());
+        self.all_us.push(us);
+        self.postings += rows.postings_scanned;
+        self.docs += rows.docs_scanned;
+        us
+    }
 }
 
 /// Times the same generated queries under both plan modes, interleaved
-/// (A/B then B/A per query) so cache warm-up cannot bias either side.
+/// (A/B then B/A per query) so OS-cache warm-up cannot bias either side.
 /// Returns `(with_optimizer, naive)`.
 fn run_queries_ab(
     rd: &esdb_core::EsdbReader,
@@ -47,22 +74,7 @@ fn run_queries_ab(
         use_optimizer: false,
         ..QueryOptions::default()
     };
-    let mut runs = (
-        LatencyRun {
-            per_tenant_mean_us: Vec::new(),
-            all_us: Vec::new(),
-        },
-        LatencyRun {
-            per_tenant_mean_us: Vec::new(),
-            all_us: Vec::new(),
-        },
-    );
-    let time_one = |sql: &str, o: QueryOptions| -> f64 {
-        let start = Instant::now();
-        let rows = rd.query_opts(sql, o).expect("query");
-        std::hint::black_box(rows.docs.len());
-        start.elapsed().as_secs_f64() * 1e6
-    };
+    let mut runs = (LatencyRun::new(), LatencyRun::new());
     for (qi, &tenant) in tenants.iter().enumerate() {
         let (mut sum_opt, mut sum_naive) = (0.0f64, 0.0f64);
         for q in 0..queries_per_tenant {
@@ -71,21 +83,19 @@ fn run_queries_ab(
             let sql = generator.generate(tenant, from, to);
             // Untimed warm-up of both paths, then timed runs in
             // alternating order.
-            let _ = time_one(&sql, opt);
-            let _ = time_one(&sql, naive);
+            rd.query_opts(&sql, opt).expect("warmup");
+            rd.query_opts(&sql, naive).expect("warmup");
             let (o_us, n_us) = if (qi + q) % 2 == 0 {
-                let o = time_one(&sql, opt);
-                let n = time_one(&sql, naive);
+                let o = runs.0.time(rd, &sql, opt);
+                let n = runs.1.time(rd, &sql, naive);
                 (o, n)
             } else {
-                let n = time_one(&sql, naive);
-                let o = time_one(&sql, opt);
+                let n = runs.1.time(rd, &sql, naive);
+                let o = runs.0.time(rd, &sql, opt);
                 (o, n)
             };
             sum_opt += o_us;
             sum_naive += n_us;
-            runs.0.all_us.push(o_us);
-            runs.1.all_us.push(n_us);
         }
         runs.0
             .per_tenant_mean_us
@@ -107,8 +117,7 @@ fn run_queries(
     seed: u64,
 ) -> LatencyRun {
     let mut generator = QueryGenerator::new(1_500, seed);
-    let mut per_tenant = Vec::with_capacity(tenants.len());
-    let mut all = Vec::new();
+    let mut run = LatencyRun::new();
     for &tenant in tenants {
         let mut sum = 0.0f64;
         for _ in 0..queries_per_tenant {
@@ -119,22 +128,16 @@ fn run_queries(
             } else {
                 generator.generate(tenant, from, to)
             };
-            let _ = rd.query_opts(&sql, opts).expect("warmup");
-            let start = Instant::now();
-            let rows = rd.query_opts(&sql, opts).expect("query");
-            let us = start.elapsed().as_secs_f64() * 1e6;
-            std::hint::black_box(rows.docs.len());
-            sum += us;
-            all.push(us);
+            rd.query_opts(&sql, opts).expect("warmup");
+            sum += run.time(rd, &sql, opts);
         }
-        per_tenant.push(sum / queries_per_tenant as f64);
+        run.per_tenant_mean_us.push(sum / queries_per_tenant as f64);
     }
-    LatencyRun {
-        per_tenant_mean_us: per_tenant,
-        all_us: all,
-    }
+    run
 }
 
+/// Latency quantiles beside the work counts per query, which depend on
+/// the plan and the data only (no host, no cache).
 fn print_quantiles(label_a: &str, a: &LatencyRun, label_b: &str, b: &LatencyRun) {
     let mut t = Table::new(&["quantile", label_a, label_b]);
     for (name, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
@@ -144,6 +147,17 @@ fn print_quantiles(label_a: &str, a: &LatencyRun, label_b: &str, b: &LatencyRun)
             format!("{:.2} ms", quantile(&b.all_us, q) / 1_000.0),
         ]);
     }
+    let per_query = |n: u64, run: &LatencyRun| n as f64 / run.all_us.len().max(1) as f64;
+    t.row(vec![
+        "postings_scanned/query".to_string(),
+        format!("{:.0}", per_query(a.postings, a)),
+        format!("{:.0}", per_query(b.postings, b)),
+    ]);
+    t.row(vec![
+        "docs_scanned/query".to_string(),
+        format!("{:.0}", per_query(a.docs, a)),
+        format!("{:.0}", per_query(b.docs, b)),
+    ]);
     t.print();
 }
 
@@ -169,8 +183,11 @@ pub fn run(quick: bool) {
         "  building dataset: {} rows / {} tenants ...",
         params.n_rows, params.n_tenants
     );
+    // Both arms of both figures run with the query caches off: the
+    // figures measure plan work (§6.3), and a warmed request cache would
+    // time cache hits on either side.
     let dir = std::env::temp_dir().join("esdb-fig17");
-    let (db, trace) = build_embedded(&params, dir);
+    let (db, trace) = build_embedded(&params, dir, |c| c.query_caches(false));
     let tenants: Vec<TenantId> = (1..=n_top).map(|r| trace.tenant_of_rank(r)).collect();
 
     // ---- Figure 17: optimizer on/off -------------------------------
@@ -222,7 +239,7 @@ pub fn run(quick: bool) {
     let mut params_noidx = params.clone();
     params_noidx.attr_top_k = 0;
     let dir = std::env::temp_dir().join("esdb-fig18");
-    let (db_noidx, _) = build_embedded(&params_noidx, dir);
+    let (db_noidx, _) = build_embedded(&params_noidx, dir, |c| c.query_caches(false));
     let no_idx_size = db_noidx.stats().size_bytes;
     let with_attr_off = run_queries(
         &db_noidx.reader(),

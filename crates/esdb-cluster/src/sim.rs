@@ -245,7 +245,6 @@ pub struct SimCluster {
     /// silently).
     retries_total: Arc<Counter>,
     retries_exhausted: Arc<Counter>,
-    degraded_reads: Arc<Counter>,
     replica_sync_skipped: Arc<Counter>,
     dispatch_blocked_consensus: Arc<Counter>,
     dispatch_blocked_busy: Arc<Counter>,
@@ -343,7 +342,6 @@ impl SimCluster {
             report,
             retries_total: counter("esdb_sim_write_retries_total", Labels::none()),
             retries_exhausted: counter("esdb_sim_write_retries_exhausted_total", Labels::none()),
-            degraded_reads: counter("esdb_sim_degraded_reads_total", Labels::none()),
             replica_sync_skipped: counter("esdb_sim_replica_sync_skipped_total", Labels::none()),
             dispatch_blocked_consensus: counter(
                 "esdb_sim_dispatch_blocked_total",
@@ -380,27 +378,6 @@ impl SimCluster {
     /// The node that currently hosts `shard`'s primary.
     pub fn primary_of(&self, shard: ShardId) -> u32 {
         self.primary_node[shard.index()]
-    }
-
-    /// Read routing under failures (reads degrade gracefully): the
-    /// primary when healthy; the surviving/promoting copy (counted in
-    /// `esdb_sim_degraded_reads_total`) when the shard is mid-failover;
-    /// `None` only when every copy is down.
-    pub fn read_target(&mut self, shard: ShardId) -> Option<u32> {
-        let s = shard.index();
-        let primary = self.primary_node[s];
-        if self.controller.is_up(primary) {
-            if self.controller.is_in_transition(s as u32) {
-                self.degraded_reads.inc();
-            }
-            return Some(primary);
-        }
-        let replica = self.replica_node[s];
-        if self.controller.is_up(replica) {
-            self.degraded_reads.inc();
-            return Some(replica);
-        }
-        None
     }
 
     /// The tenant's current read span (for the query model).
@@ -1267,33 +1244,6 @@ mod tests {
             )
         };
         assert_eq!(run_once(), run_once(), "same seed, same outcome");
-    }
-
-    #[test]
-    fn reads_degrade_to_surviving_copy_during_failover() {
-        use esdb_chaos::ChaosEvent;
-        let cfg = ClusterConfig::small(PolicySpec::Hashing);
-        let mut cluster = SimCluster::new(cfg.clone());
-        cluster
-            .set_chaos_schedule(ChaosSchedule::new().at(1_000, ChaosEvent::NodeCrash { node: 0 }));
-        // Saturate the cluster so the promotion's recovery task queues
-        // behind a backlog — the in-transition window stays observable.
-        let mut gen = TraceGenerator::new(100, 0.5, RateSchedule::constant(6_000.0), 9);
-        for _ in 0..11 {
-            let now = cluster.now();
-            let events = gen.tick(now, cfg.tick_ms);
-            cluster.step(events);
-        }
-        // Shard 0's primary was node 0; after the crash its read target is
-        // the promoted copy, never None (the replica survived).
-        let target = cluster.read_target(ShardId(0));
-        assert!(target.is_some());
-        assert_ne!(target, Some(0));
-        let snap = cluster.telemetry_snapshot();
-        assert!(snap
-            .counters
-            .iter()
-            .any(|(n, _, v)| n == "esdb_sim_degraded_reads_total" && *v > 0));
     }
 
     #[test]

@@ -42,30 +42,31 @@ pub(crate) fn rebalance_pass(ws: &WriteState) -> usize {
     let proposals = ws.balancer.lock().on_period(&period);
     let mut committed = 0;
     if !proposals.is_empty() {
+        let commit_t0 = claim.map(|_| Instant::now());
+        // One write-lock hold covers choosing the effective time, the
+        // durable append and the publish. Writers mark their `created_at`
+        // under the read lock they route by, so the high-water mark read
+        // here bounds every record the old list placed, and none can be
+        // routed by the old list between here and the publish.
+        let mut rules = ws.rules.write();
         let t = ws.clock.now();
         // Commit-wait (§4.2 on the live clock): the rule activates at
         // `commit + wait`, so every participant — however skewed within
         // the wait — agrees on which side of the rule a record falls
-        // before any record can carry a timestamp past it.
-        let t_eff = t + ws.commit_wait_ms;
-        let commit_t0 = claim.map(|_| Instant::now());
-        // Durable before visible: a rule no writer can see yet is synced
-        // to `rules.log` first, so a write routed by it can only be acked
-        // once a reopen would replay it. A proposal whose line did not
-        // land is never committed: the balancer forgets it (and may
-        // propose it again next period) and the failure is counted.
+        // before any record can carry a timestamp past it. It also lands
+        // above every routed `created_at`: a record stamped ahead of the
+        // clock keeps the placement it was written at.
+        let t_eff = (t + ws.commit_wait_ms).max(rules.routed_high_water() + 1);
+        // Durable before visible: the rule is synced to `rules.log`
+        // before any writer can route by it, so a write routed by it can
+        // only be acked once a reopen would replay it. A proposal whose
+        // line did not land is never committed: the balancer forgets it
+        // (and may propose it again next period) and the failure is
+        // counted. Each commit costs one fsync with routing paused.
         let (landed, failed): (Vec<RuleProposal>, Vec<RuleProposal>) = proposals
             .into_iter()
             .partition(|p| ws.rules_log.append_rule(p.tenant, p.offset, t_eff).is_ok());
-        for p in &failed {
-            ws.balancer.lock().on_abort(p.tenant, p.offset);
-            ws.telemetry
-                .registry()
-                .counter("esdb_rule_append_errors_total", Labels::none())
-                .inc();
-        }
         committed = landed.len();
-        let mut rules = ws.rules.write();
         // Spans before the commit, read under the same write-lock hold
         // so the old→new transition is exact.
         let old_spans: Vec<u32> = landed
@@ -74,6 +75,13 @@ pub(crate) fn rebalance_pass(ws: &WriteState) -> usize {
             .collect();
         LoadBalancer::commit_direct(&landed, &mut rules, t_eff);
         drop(rules);
+        for p in &failed {
+            ws.balancer.lock().on_abort(p.tenant, p.offset);
+            ws.telemetry
+                .registry()
+                .counter("esdb_rule_append_errors_total", Labels::none())
+                .inc();
+        }
         let commit_wait_ns = commit_t0.map_or(0, elapsed_ns);
         for (p, old_span) in landed.iter().zip(old_spans) {
             let started_seq = if claim.is_some() {
@@ -639,6 +647,35 @@ mod tests {
             .query("SELECT * FROM transaction_logs WHERE tenant_id = 777")
             .unwrap();
         assert_eq!(rows.docs.len(), 2_700 + 200);
+    }
+
+    #[test]
+    fn rule_never_takes_effect_below_a_routed_created_at() {
+        let (mut db, driver) = open("rule-above-routed", |c| c.shards(16));
+        let (w, rd) = (db.writer(), db.reader());
+        load_skewed(&[&w], 3_000);
+        // A record stamped ahead of the engine clock is routed by the
+        // current (empty) rule list.
+        let ahead = driver.now() + 50;
+        let first = w.insert(doc(777, 99_999, ahead)).unwrap();
+        db.rebalance();
+        let rule = db.rules_snapshot().last().cloned().expect("rule committed");
+        assert!(rule.offset > 1);
+        // The update carries the same routing triple, so it must find
+        // the copy the insert made, not upsert a second one elsewhere.
+        let second = w.update(doc(777, 99_999, ahead)).unwrap();
+        db.drive_migrations();
+        db.refresh();
+        let rows = rd
+            .query("SELECT * FROM transaction_logs WHERE tenant_id = 777 AND record_id = 99999")
+            .unwrap();
+        assert_eq!(rows.docs.len(), 1, "one live copy of the record");
+        assert_eq!(second, first);
+        assert!(
+            rule.effective_time >= ahead,
+            "rule effective at {} below routed created_at {ahead}",
+            rule.effective_time
+        );
     }
 
     #[test]

@@ -380,16 +380,19 @@ fn run_query(sc: &Scatter<'_>) -> (QueryRows, Option<esdb_index::BlockStats>) {
         // (it feeds the per-stage histograms); capture-only traces keep
         // the coarse tree — every stage a slow query needs — for free.
         let t_probe = sc.trace.filter(|_| sc.sampled).map(QueryTrace::now_ns);
+        // A hit shares the cached rows; a miss wraps its rows once and
+        // hands the same `Arc` to the cache and the gather. The merge
+        // copies only the LIMIT survivors.
         let rows = match hit {
-            Some(hit) => (*hit).clone(),
+            Some(hit) => hit,
             None => {
-                let rows = if use_blocks {
+                let rows = Arc::new(if use_blocks {
                     execute_prepared_blocks_on_snapshot(sc.query, sc.prepared, snap, ctx)
                 } else {
                     execute_prepared_on_snapshot(sc.query, sc.prepared, snap, ctx)
-                };
+                });
                 if let Some(rc) = request_cache {
-                    rc.insert(key, Arc::new(rows.clone()), 1);
+                    rc.insert(key, Arc::clone(&rows), 1);
                 }
                 rows
             }
@@ -397,6 +400,8 @@ fn run_query(sc: &Scatter<'_>) -> (QueryRows, Option<esdb_index::BlockStats>) {
         let prune_ns = use_blocks.then_some(rows.block_prune_ns);
         (rows, t_probe, prune_ns)
     });
+    #[cfg(test)]
+    tests::note_gather(&shard_results);
     let _span = sc.trace.map(|t| t.span("gather", 0));
     let merged = merge_results(shard_results, sc.query.order_by.as_ref(), sc.query.limit);
     let blocks = use_blocks.then_some(merged.blocks);
@@ -638,6 +643,45 @@ mod tests {
         assert!(third.docs.iter().all(|d| d.record_id != RecordId(1)));
         assert_eq!(third.docs.len(), 50, "limit refilled from later rows");
         assert_ne!(third.docs, first.docs);
+    }
+
+    thread_local! {
+        /// `(allocation, strong count)` of each shard result the last
+        /// row query on this thread gathered.
+        static GATHERED: std::cell::RefCell<Vec<(usize, usize)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note_gather(shard_results: &[Arc<QueryRows>]) {
+        let seen = shard_results
+            .iter()
+            .map(|r| (Arc::as_ptr(r) as usize, Arc::strong_count(r)))
+            .collect();
+        GATHERED.with(|g| *g.borrow_mut() = seen);
+    }
+
+    #[test]
+    fn cache_hits_share_the_cached_rows() {
+        let (mut db, _) = open("cache-share", |c| c.shards(4));
+        let (w, rd) = (db.writer(), db.reader());
+        for r in 0..120 {
+            w.insert(doc(7, r, 1_000 + r)).unwrap();
+        }
+        db.refresh();
+        let sql = "SELECT * FROM transaction_logs WHERE tenant_id = 7 \
+                   ORDER BY created_time DESC LIMIT 30";
+        let first = rd.query(sql).unwrap();
+        let miss = GATHERED.with(|g| g.borrow().clone());
+        let second = rd.query(sql).unwrap();
+        let hit = GATHERED.with(|g| g.borrow().clone());
+        assert_eq!(second.docs, first.docs);
+        assert_eq!(first.docs.len(), 30);
+        assert!(db.stats().request_cache.hits >= 1);
+        // The miss handed the cache and the gather one allocation (two
+        // owners); the hit gathered that same allocation, not a copy.
+        assert_eq!(miss.len(), 1, "a cold tenant spans one shard");
+        assert_eq!(miss[0].1, 2, "cache + gather share the miss's rows");
+        assert_eq!(hit, miss, "the hit gathers the cached allocation");
     }
 
     #[test]

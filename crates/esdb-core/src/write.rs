@@ -291,7 +291,7 @@ impl EsdbWriter {
         // be released before the rebalance hook: the claiming writer may
         // run the cutover itself, and the barrier waits on permits.
         let permit = ws.migrations.begin_write();
-        let shard = ws.router.route_write(tenant, record, created_at);
+        let shard = ws.router.route_and_mark(tenant, record, created_at);
         let (_, first_err) = apply_to_shard(ws, shard, std::slice::from_ref(&op), false, 0);
         drop(permit);
         if let Some(e) = first_err {
@@ -336,7 +336,7 @@ impl EsdbWriter {
             let _span = trace.as_ref().map(|t| t.span("batch_group", 0));
             for op in ops {
                 let (tenant, record, created_at) = op.routing();
-                let shard = ws.router.route_write(tenant, record, created_at);
+                let shard = ws.router.route_and_mark(tenant, record, created_at);
                 buckets[shard.index()].push(op);
             }
         }

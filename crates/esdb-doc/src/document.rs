@@ -8,9 +8,16 @@
 use crate::value::FieldValue;
 use esdb_common::{RecordId, TenantId, TimestampMs};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 
 /// A schema-flexible document (one transaction-log row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Fields and attributes are immutable once built and shared by every
+/// clone, so copying a document (a result's LIMIT survivors, a wire
+/// projection, a write buffered for replay) costs one reference count,
+/// not an allocation per string.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Document {
     /// Tenant (seller) ID — primary routing attribute `k1`.
     pub tenant_id: TenantId,
@@ -20,12 +27,30 @@ pub struct Document {
     /// Record creation time `tc`, used for rule matching and time-range
     /// predicates.
     pub created_at: TimestampMs,
+    body: Arc<Body>,
+}
+
+/// The payload of a [`Document`] past its routing triple.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Body {
     /// Structured fields, sorted by name (binary-searchable).
     fields: Vec<(String, FieldValue)>,
     /// The "attributes" column: merchant-defined sub-attribute pairs.
     /// In production ~1500 distinct sub-attribute names exist; each document
     /// carries a small sample of them.
     attrs: Vec<(String, String)>,
+}
+
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Document")
+            .field("tenant_id", &self.tenant_id)
+            .field("record_id", &self.record_id)
+            .field("created_at", &self.created_at)
+            .field("fields", &self.body.fields)
+            .field("attrs", &self.body.attrs)
+            .finish()
+    }
 }
 
 impl Document {
@@ -40,8 +65,7 @@ impl Document {
                 tenant_id,
                 record_id,
                 created_at,
-                fields: Vec::new(),
-                attrs: Vec::new(),
+                body: Arc::default(),
             },
         }
     }
@@ -55,30 +79,32 @@ impl Document {
             "created_time" => return Some(FieldValue::Timestamp(self.created_at)),
             _ => {}
         }
-        self.fields
+        let fields = &self.body.fields;
+        fields
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .ok()
-            .map(|i| self.fields[i].1.clone())
+            .map(|i| fields[i].1.clone())
     }
 
     /// Iterates structured fields (excluding the routing virtuals).
     pub fn fields(&self) -> impl Iterator<Item = (&str, &FieldValue)> {
-        self.fields.iter().map(|(n, v)| (n.as_str(), v))
+        self.body.fields.iter().map(|(n, v)| (n.as_str(), v))
     }
 
     /// Number of structured fields.
     pub fn field_count(&self) -> usize {
-        self.fields.len()
+        self.body.fields.len()
     }
 
     /// The sub-attribute pairs of the "attributes" column.
     pub fn attrs(&self) -> &[(String, String)] {
-        &self.attrs
+        &self.body.attrs
     }
 
     /// Looks up a sub-attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs
+        self.body
+            .attrs
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
@@ -88,14 +114,14 @@ impl Document {
     /// storage growth per shard.
     pub fn approx_size(&self) -> usize {
         let mut sz = 24; // routing triple
-        for (n, v) in &self.fields {
+        for (n, v) in &self.body.fields {
             sz += n.len()
                 + match v {
                     FieldValue::Str(s) => s.len() + 8,
                     _ => 9,
                 };
         }
-        for (k, v) in &self.attrs {
+        for (k, v) in &self.body.attrs {
             sz += k.len() + v.len() + 2;
         }
         sz
@@ -113,25 +139,29 @@ impl DocumentBuilder {
     pub fn field(mut self, name: impl Into<String>, value: impl Into<FieldValue>) -> Self {
         let name = name.into();
         let value = value.into();
-        match self
-            .doc
-            .fields
-            .binary_search_by(|(n, _)| n.as_str().cmp(&name))
-        {
-            Ok(i) => self.doc.fields[i].1 = value,
-            Err(i) => self.doc.fields.insert(i, (name, value)),
+        let fields = &mut Arc::make_mut(&mut self.doc.body).fields;
+        match fields.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
+            Ok(i) => fields[i].1 = value,
+            Err(i) => fields.insert(i, (name, value)),
         }
         self
     }
 
     /// Appends a sub-attribute to the "attributes" column.
     pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.doc.attrs.push((name.into(), value.into()));
+        Arc::make_mut(&mut self.doc.body)
+            .attrs
+            .push((name.into(), value.into()));
         self
     }
 
-    /// Finishes the document.
-    pub fn build(self) -> Document {
+    /// Finishes the document. The vectors are trimmed to their length:
+    /// the body lives as long as any clone of the document, so growth
+    /// slack would be kept for the document's whole life.
+    pub fn build(mut self) -> Document {
+        let body = Arc::make_mut(&mut self.doc.body);
+        body.fields.shrink_to_fit();
+        body.attrs.shrink_to_fit();
         self.doc
     }
 }
@@ -245,5 +275,23 @@ mod tests {
         let small = Document::builder(TenantId(1), RecordId(1), 1).build();
         let big = doc();
         assert!(big.approx_size() > small.approx_size());
+    }
+
+    #[test]
+    fn clones_share_the_body_and_builders_copy_on_write() {
+        let base = Document::builder(TenantId(1), RecordId(2), 3).field("a", 1i64);
+        let with_b = base.clone().field("b", 2i64).attr("k", "v").build();
+        let with_c = base.field("c", 3i64).build();
+        assert_eq!(with_b.get("c"), None);
+        assert_eq!(with_c.get("b"), None);
+        assert!(with_c.attrs().is_empty());
+        let body = &with_b.body;
+        assert_eq!(body.attrs.capacity(), body.attrs.len(), "build trims slack");
+        let copy = with_b.clone();
+        assert!(
+            Arc::ptr_eq(&copy.body, &with_b.body),
+            "a clone shares the body"
+        );
+        assert_eq!(copy, with_b);
     }
 }

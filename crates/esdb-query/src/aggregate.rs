@@ -10,53 +10,56 @@ use crate::ast::{cmp_values, OrderBy};
 use crate::executor::QueryRows;
 use esdb_doc::{Document, FieldValue};
 use esdb_index::BlockStats;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Merges per-shard result sets into the final rows, applying a global
 /// sort and limit. Work counters are summed.
-pub fn merge_results(
-    shard_results: Vec<QueryRows>,
+///
+/// The inputs are only borrowed (`Arc<QueryRows>` straight out of the
+/// request cache works as well as an owned result): references to the
+/// gathered rows are sorted once, each decorated with its ORDER BY key,
+/// and only the `LIMIT` survivors are cloned. The sort is stable over
+/// the gather order, so ties keep shard-input order.
+pub fn merge_results<R: Borrow<QueryRows>>(
+    shard_results: Vec<R>,
     order_by: Option<&OrderBy>,
     limit: Option<usize>,
 ) -> QueryRows {
-    let mut postings = 0u64;
-    let mut scanned = 0u64;
-    let mut blocks = BlockStats::default();
-    let mut prune_ns = 0u64;
-    let mut docs: Vec<Document> = Vec::new();
-    for r in shard_results {
-        postings += r.postings_scanned;
-        scanned += r.docs_scanned;
-        blocks.merge(&r.blocks);
-        prune_ns += r.block_prune_ns;
-        docs.extend(r.docs);
+    let shards: Vec<&QueryRows> = shard_results.iter().map(Borrow::borrow).collect();
+    let mut out = QueryRows::default();
+    for r in &shards {
+        out.postings_scanned += r.postings_scanned;
+        out.docs_scanned += r.docs_scanned;
+        out.blocks.merge(&r.blocks);
+        out.block_prune_ns += r.block_prune_ns;
     }
-    if let Some(ob) = order_by {
-        docs.sort_by(|a, b| doc_cmp(a, b, ob));
-    }
-    if let Some(l) = limit {
-        docs.truncate(l);
-    }
-    QueryRows {
-        docs,
-        postings_scanned: postings,
-        docs_scanned: scanned,
-        blocks,
-        block_prune_ns: prune_ns,
-    }
+    let total: usize = shards.iter().map(|r| r.docs.len()).sum();
+    let keep = limit.map_or(total, |l| l.min(total));
+    let gathered = shards.iter().flat_map(|r| &r.docs);
+    out.docs = match order_by {
+        None => gathered.take(keep).cloned().collect(),
+        Some(ob) => {
+            let mut keyed: Vec<(Option<FieldValue>, &Document)> =
+                gathered.map(|d| (d.get(&ob.column), d)).collect();
+            keyed.sort_by(|a, b| key_cmp(a.0.as_ref(), b.0.as_ref(), ob.descending));
+            keyed[..keep].iter().map(|(_, d)| (*d).clone()).collect()
+        }
+    };
+    out
 }
 
-fn doc_cmp(a: &Document, b: &Document, ob: &OrderBy) -> Ordering {
-    let va = a.get(&ob.column);
-    let vb = b.get(&ob.column);
-    let ord = match (va, vb) {
-        (Some(x), Some(y)) => cmp_values(&x, &y).unwrap_or(Ordering::Equal),
+/// ORDER BY on one column's values: a missing value sorts before any
+/// present one, incomparable values tie.
+fn key_cmp(a: Option<&FieldValue>, b: Option<&FieldValue>, descending: bool) -> Ordering {
+    let ord = match (a, b) {
+        (Some(x), Some(y)) => cmp_values(x, y).unwrap_or(Ordering::Equal),
         (Some(_), None) => Ordering::Greater,
         (None, Some(_)) => Ordering::Less,
         (None, None) => Ordering::Equal,
     };
-    if ob.descending {
+    if descending {
         ord.reverse()
     } else {
         ord
@@ -426,6 +429,102 @@ pub fn aggregate_rows(rows: &[Document], funcs: &[AggFunc], group_by: Option<&st
 mod tests {
     use super::*;
     use esdb_common::{RecordId, TenantId};
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// The owned merge `merge_results` replaced: move every shard's rows
+    /// into one vector, stable-sort it by re-reading the column on every
+    /// comparison, truncate. Kept as the oracle the borrowed merge must
+    /// equal.
+    fn owned_merge(
+        shard_results: Vec<QueryRows>,
+        order_by: Option<&OrderBy>,
+        limit: Option<usize>,
+    ) -> QueryRows {
+        let mut out = QueryRows::default();
+        for r in shard_results {
+            out.postings_scanned += r.postings_scanned;
+            out.docs_scanned += r.docs_scanned;
+            out.blocks.merge(&r.blocks);
+            out.block_prune_ns += r.block_prune_ns;
+            out.docs.extend(r.docs);
+        }
+        if let Some(ob) = order_by {
+            out.docs.sort_by(|a, b| {
+                let ord = match (a.get(&ob.column), b.get(&ob.column)) {
+                    (Some(x), Some(y)) => cmp_values(&x, &y).unwrap_or(Ordering::Equal),
+                    (Some(_), None) => Ordering::Greater,
+                    (None, Some(_)) => Ordering::Less,
+                    (None, None) => Ordering::Equal,
+                };
+                if ob.descending {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+        }
+        if let Some(l) = limit {
+            out.docs.truncate(l);
+        }
+        out
+    }
+
+    /// One shard's rows from `(time, name, status)` draws: few
+    /// distinct values per column so ties across shards are common, and
+    /// an index past the end of the samples leaves the column missing.
+    fn shard_rows(shard: usize, rows: &[(u64, usize, usize)], work: u64) -> QueryRows {
+        const NAMES: [&str; 4] = ["", "a", "b", "\u{e9}t\u{e9}"];
+        const STATUSES: [i64; 4] = [-2, 0, 1, 7];
+        QueryRows {
+            docs: rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(t, name, status))| {
+                    let id = (shard * 100 + i) as u64;
+                    let mut b = Document::builder(TenantId(1), RecordId(id), 1_000 + t);
+                    if let Some(name) = NAMES.get(name) {
+                        b = b.field("name", *name);
+                    }
+                    if let Some(status) = STATUSES.get(status) {
+                        b = b.field("status", *status);
+                    }
+                    b.build()
+                })
+                .collect(),
+            postings_scanned: work,
+            docs_scanned: 2 * work,
+            ..QueryRows::default()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn borrowed_merge_equals_owned_merge(
+            shards in prop::collection::vec(
+                prop::collection::vec((0u64..4, 0usize..6, 0usize..6), 0..8),
+                0..4,
+            ),
+            column in prop::sample::select(vec!["name", "status", "created_time", "absent"]),
+            descending in any::<bool>(),
+            ordered in any::<bool>(),
+            limit in (0usize..40, any::<bool>()).prop_map(|(l, some)| some.then_some(l)),
+        ) {
+            let shards: Vec<QueryRows> = shards
+                .iter()
+                .enumerate()
+                .map(|(s, rows)| shard_rows(s, rows, s as u64 + 1))
+                .collect();
+            let ob = OrderBy { column: column.to_string(), descending };
+            let ob = ordered.then_some(&ob);
+            let shared: Vec<Arc<QueryRows>> = shards.iter().cloned().map(Arc::new).collect();
+            let got = merge_results(shared, ob, limit);
+            let want = owned_merge(shards, ob, limit);
+            prop_assert_eq!(&got.docs, &want.docs);
+            prop_assert_eq!(got.postings_scanned, want.postings_scanned);
+            prop_assert_eq!(got.docs_scanned, want.docs_scanned);
+        }
+    }
 
     fn rows(n: u64, base_time: u64) -> QueryRows {
         QueryRows {

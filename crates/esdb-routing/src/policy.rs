@@ -24,6 +24,15 @@ pub trait RoutingPolicy: Send + Sync {
     /// Routes a write identified by `(k1, k2, tc)` to a shard.
     fn route_write(&self, k1: TenantId, k2: RecordId, tc: TimestampMs) -> ShardId;
 
+    /// Routes a write that is about to be applied. A policy with a rule
+    /// list also records `tc` as routed, under the same hold of the list
+    /// it routes by, so a rule committed afterwards is never effective at
+    /// or below it. Lookups that apply nothing use
+    /// [`RoutingPolicy::route_write`].
+    fn route_and_mark(&self, k1: TenantId, k2: RecordId, tc: TimestampMs) -> ShardId {
+        self.route_write(k1, k2, tc)
+    }
+
     /// The consecutive shard span a read for tenant `k1` at time `now` must
     /// cover.
     fn read_span(&self, k1: TenantId, now: TimestampMs) -> ShardSpan;
@@ -171,11 +180,9 @@ impl DynamicRouting {
     pub fn rules(&self) -> Arc<RwLock<RuleList>> {
         self.rules.clone()
     }
-}
 
-impl RoutingPolicy for DynamicRouting {
-    fn route_write(&self, k1: TenantId, k2: RecordId, tc: TimestampMs) -> ShardId {
-        let s = self.rules.read().offset_for_write(k1, tc);
+    fn place_by(&self, rules: &RuleList, k1: TenantId, k2: RecordId, tc: TimestampMs) -> ShardId {
+        let s = rules.offset_for_write(k1, tc);
         if let Some(c) = &self.counters {
             if s > 1 {
                 c.spread.inc();
@@ -184,6 +191,18 @@ impl RoutingPolicy for DynamicRouting {
             }
         }
         place(k1, k2, s.min(self.n), self.n)
+    }
+}
+
+impl RoutingPolicy for DynamicRouting {
+    fn route_write(&self, k1: TenantId, k2: RecordId, tc: TimestampMs) -> ShardId {
+        self.place_by(&self.rules.read(), k1, k2, tc)
+    }
+
+    fn route_and_mark(&self, k1: TenantId, k2: RecordId, tc: TimestampMs) -> ShardId {
+        let rules = self.rules.read();
+        rules.mark_routed(tc);
+        self.place_by(&rules, k1, k2, tc)
     }
 
     fn read_span(&self, k1: TenantId, now: TimestampMs) -> ShardSpan {

@@ -18,6 +18,7 @@
 use esdb_common::fastmap::{fast_map, FastMap};
 use esdb_common::{TenantId, TimestampMs};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One secondary hashing rule `(t, s, k_list)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,7 +50,7 @@ pub struct SecondaryHashingRule {
 /// // Reads at/after the effective time cover the full span.
 /// assert_eq!(rules.offset_for_read(TenantId(7), 100), 8);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RuleList {
     /// All rules in insertion order (the wire/consensus representation).
     rules: Vec<SecondaryHashingRule>,
@@ -62,6 +63,11 @@ pub struct RuleList {
     /// pre-rule records now *live* at their new-span placement, so point
     /// ops on them must route there.
     migrated: FastMap<TenantId, u32>,
+    /// Largest `created_at` a write has been routed with. Writers raise
+    /// it under the read lock they route under; a rule is committed
+    /// under the write lock above it, so no rule can take effect at or
+    /// below a record that was already routed by the older list.
+    routed: AtomicU64,
 }
 
 impl RuleList {
@@ -71,6 +77,7 @@ impl RuleList {
             rules: Vec::new(),
             by_tenant: fast_map(),
             migrated: fast_map(),
+            routed: AtomicU64::new(0),
         }
     }
 
@@ -182,6 +189,19 @@ impl RuleList {
                     .unwrap_or(1)
             })
             .unwrap_or(1)
+    }
+
+    /// Records that a write with creation time `tc` is being routed by
+    /// this list (see [`RuleList::routed_high_water`]).
+    pub(crate) fn mark_routed(&self, tc: TimestampMs) {
+        self.routed.fetch_max(tc, Ordering::Relaxed);
+    }
+
+    /// Largest creation time any write has been routed with. Read under
+    /// the write lock, it bounds every record the current list placed:
+    /// a rule effective after it moves none of them.
+    pub fn routed_high_water(&self) -> TimestampMs {
+        self.routed.load(Ordering::Relaxed)
     }
 
     /// Latest effective time in the list (used by consensus participants to

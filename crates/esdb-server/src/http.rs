@@ -83,15 +83,25 @@ pub enum ReadError {
     Io(String),
 }
 
+/// Bytes one read may add to the buffer.
+const CHUNK: usize = 8 * 1024;
+/// What a read window is initialized with before the read overwrites it.
+static ZEROS: [u8; CHUNK] = [0; CHUNK];
+
 /// Pulls more bytes into `buf`, classifying timeout vs hard error.
-fn fill(stream: &mut dyn Read, buf: &mut Vec<u8>) -> Result<usize, ReadError> {
-    let mut chunk = [0u8; 8192];
-    match stream.read(&mut chunk) {
-        Ok(0) => Ok(0),
-        Ok(n) => {
-            buf.extend_from_slice(&chunk[..n]);
-            Ok(n)
-        }
+/// `missing` is how many bytes the message still lacks (when the head
+/// says; at most [`MAX_BODY`], which `parse_head` enforces), so the
+/// whole body is reserved once instead of grown by doubling. Bytes land
+/// in `buf`'s spare capacity, never in a scratch chunk that is copied
+/// over.
+fn fill(stream: &mut dyn Read, buf: &mut Vec<u8>, missing: usize) -> Result<usize, ReadError> {
+    let len = buf.len();
+    buf.reserve(missing.max(CHUNK));
+    buf.extend_from_slice(&ZEROS);
+    let read = stream.read(&mut buf[len..]);
+    buf.truncate(len + read.as_ref().map_or(0, |n| *n));
+    match read {
+        Ok(n) => Ok(n),
         Err(e)
             if e.kind() == std::io::ErrorKind::WouldBlock
                 || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -172,19 +182,25 @@ fn read_message(
     buf: &mut Vec<u8>,
     deadline: Option<Instant>,
 ) -> Result<(Head, Vec<u8>), ReadError> {
+    // The head is parsed once per message, not once per fill: a large
+    // body arrives over many reads.
+    let mut head: Option<Head> = None;
     loop {
-        if let Some(head) = parse_head(buf)? {
-            let total = head.body_start + head.content_length;
-            if buf.len() >= total {
-                let body = buf[head.body_start..total].to_vec();
-                buf.drain(..total);
-                return Ok((head, body));
-            }
+        if head.is_none() {
+            head = parse_head(buf)?;
+        }
+        let total = head.as_ref().map(|h| h.body_start + h.content_length);
+        if let Some(total) = total.filter(|&t| buf.len() >= t) {
+            let head = head.expect("total comes from the head");
+            let body = buf[head.body_start..total].to_vec();
+            buf.drain(..total);
+            return Ok((head, body));
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(ReadError::DeadlineExceeded);
         }
-        match fill(stream, buf)? {
+        let missing = total.map_or(0, |t| t - buf.len());
+        match fill(stream, buf, missing)? {
             0 => {
                 return if buf.is_empty() {
                     Err(ReadError::Eof)
@@ -380,6 +396,31 @@ mod tests {
         assert!(timeouts > 0, "the stutter reader must have timed out");
         assert_eq!(req.path, "/v1/write");
         assert_eq!(req.body, b"abcd");
+    }
+
+    #[test]
+    fn large_body_parses_the_same_in_any_pieces() {
+        let body: String = (0..70_000u32)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let mut wire = Vec::new();
+        write_response(&mut wire, 200, "application/json", &body, None).unwrap();
+        let parse = |piece: usize| {
+            let mut stream = Stutter {
+                parts: wire.chunks(piece).collect(),
+                next: 0,
+                timeout_between: false,
+                gap: false,
+            };
+            let mut buf = Vec::new();
+            let resp = read_response(&mut stream, &mut buf).unwrap();
+            assert!(buf.is_empty(), "exactly one message consumed");
+            resp
+        };
+        let chunked = parse(8 * 1024);
+        assert_eq!(chunked.status, 200);
+        assert_eq!(chunked.body, body.as_bytes());
+        assert_eq!(parse(1), chunked);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `FieldValue::Float` survives serialize → parse → deserialize
 //! byte-identically (see [`crate::wire`]).
 
-use esdb_telemetry::json_escape;
+pub(crate) use esdb_telemetry::json_escape_into as escape_into;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -114,7 +114,7 @@ impl Json {
             }
             Json::Str(s) => {
                 out.push('"');
-                out.push_str(&json_escape(s));
+                escape_into(out, s);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -134,7 +134,7 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&json_escape(k));
+                    escape_into(out, k);
                     out.push_str("\":");
                     v.write(out);
                 }

@@ -20,7 +20,7 @@ use crate::auth::{Identity, TokenTable};
 use crate::http::{self, ReadError, Request};
 use crate::json::{obj, Json};
 use crate::transport::{Conn, Transport};
-use crate::wire::{self, WireAgg, WireError, WireOp, WireRows, WriteAck};
+use crate::wire::{self, WireAgg, WireError, WireOp, WriteAck};
 use esdb_common::RejectedCounts;
 use esdb_core::Esdb;
 use esdb_query::QueryOptions;
@@ -507,7 +507,17 @@ fn handle_query(shared: &Shared, body: &str, identity: Identity, aggregate: bool
         }
     } else {
         match shared.reader.query_opts(&q.sql, opts) {
-            Ok(rows) => Resp::json(200, wire::encode_rows(&WireRows::from_rows(&rows))),
+            Ok(rows) => {
+                // Straight from the engine's rows: no `WireRows` copy.
+                let mut body = String::new();
+                wire::write_rows(
+                    &mut body,
+                    &rows.docs,
+                    rows.postings_scanned,
+                    rows.docs_scanned,
+                );
+                Resp::json(200, body)
+            }
             Err(e) => Resp::error(WireError::from_engine(&e)),
         }
     }

@@ -15,10 +15,11 @@
 //!   endpoints; adding fields is backward-compatible (decoders ignore
 //!   unknown members), breaking changes bump the prefix.
 
-use crate::json::{obj, parse, Json};
+use crate::json::{escape_into, obj, parse, Json};
 use esdb_common::{EsdbError, RecordId, TenantId, TimestampMs};
 use esdb_doc::{Document, FieldValue, WriteOp};
 use esdb_query::{AggResult, AggRow, QueryRows};
+use std::fmt::Write as _;
 
 /// One write operation as it travels over the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -475,12 +476,79 @@ pub fn decode_query_request(body: &str) -> Result<QueryRequest, String> {
 
 /// Encodes a query result body.
 pub fn encode_rows(r: &WireRows) -> String {
-    obj(vec![
-        ("rows", Json::Arr(r.docs.iter().map(encode_doc).collect())),
-        ("postings_scanned", Json::UInt(r.postings_scanned)),
-        ("docs_scanned", Json::UInt(r.docs_scanned)),
-    ])
-    .to_text()
+    let mut out = String::new();
+    write_rows(&mut out, &r.docs, r.postings_scanned, r.docs_scanned);
+    out
+}
+
+/// Appends a query result body to `out`: the same bytes as
+/// `encode_doc`'s tagged documents in an `obj` tree, written in one
+/// pass with no tree and no per-value allocation. The server replies
+/// straight from the engine's rows through this, and [`encode_rows`]
+/// is this over a [`WireRows`].
+pub(crate) fn write_rows(out: &mut String, docs: &[Document], postings: u64, scanned: u64) {
+    out.push_str("{\"rows\":[");
+    let start = out.len();
+    for (i, d) in docs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if i == 1 {
+            // Size the rest of the body after the first row's length.
+            out.reserve((out.len() - start) * (docs.len() - 1));
+        }
+        write_doc(out, d);
+    }
+    let _ = write!(
+        out,
+        "],\"postings_scanned\":{postings},\"docs_scanned\":{scanned}}}"
+    );
+}
+
+/// Appends `encode_doc(d).to_text()` to `out`.
+fn write_doc(out: &mut String, d: &Document) {
+    let _ = write!(
+        out,
+        "{{\"tenant\":{},\"record\":{},\"created_at\":{},\"fields\":[",
+        d.tenant_id.0, d.record_id.0, d.created_at
+    );
+    for (i, (name, v)) in d.fields().enumerate() {
+        out.push_str(if i > 0 { ",[\"" } else { "[\"" });
+        escape_into(out, name);
+        out.push_str("\",");
+        write_value(out, v);
+        out.push(']');
+    }
+    out.push_str("],\"attrs\":[");
+    for (i, (k, v)) in d.attrs().iter().enumerate() {
+        out.push_str(if i > 0 { ",[\"" } else { "[\"" });
+        escape_into(out, k);
+        out.push_str("\",\"");
+        escape_into(out, v);
+        out.push_str("\"]");
+    }
+    out.push_str("]}");
+}
+
+/// Appends `encode_value(v).to_text()` to `out`.
+fn write_value(out: &mut String, v: &FieldValue) {
+    let _ = match v {
+        FieldValue::Null => {
+            out.push_str("{\"t\":\"null\"}");
+            Ok(())
+        }
+        FieldValue::Bool(b) => write!(out, "{{\"t\":\"bool\",\"v\":{b}}}"),
+        FieldValue::Int(i) => write!(out, "{{\"t\":\"int\",\"v\":{i}}}"),
+        // Float text never needs escaping.
+        FieldValue::Float(f) => write!(out, "{{\"t\":\"float\",\"v\":\"{f}\"}}"),
+        FieldValue::Timestamp(t) => write!(out, "{{\"t\":\"ts\",\"v\":{t}}}"),
+        FieldValue::Str(s) => {
+            out.push_str("{\"t\":\"str\",\"v\":\"");
+            escape_into(out, s);
+            out.push_str("\"}");
+            Ok(())
+        }
+    };
 }
 
 /// Decodes a query result body.

@@ -13,22 +13,45 @@ use crate::journal::{events_to_json, Event};
 use crate::slowlog::{SlowQueryEntry, SlowWriteEntry};
 use crate::telemetry::Telemetry;
 use crate::trace_export::trace_json;
+use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json_escape_into(&mut out, s);
     out
+}
+
+/// Appends `s` escaped for a JSON string literal to `out`, copying runs
+/// that need no escape in one piece and allocating nothing else.
+/// Inlined: the wire writer calls it for every string of every row.
+#[inline]
+pub fn json_escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
 }
 
 /// Everything a postmortem needs, in one serializable place.
@@ -211,5 +234,9 @@ mod tests {
     fn escaping_handles_control_and_quote_chars() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("é\u{1f}\"x\u{7f}"), "é\\u001f\\\"x\u{7f}");
+        let mut out = String::from("[");
+        json_escape_into(&mut out, "\t\r");
+        assert_eq!(out, "[\\t\\r");
     }
 }

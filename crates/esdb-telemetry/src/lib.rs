@@ -36,7 +36,7 @@ pub mod span;
 mod telemetry;
 pub mod trace_export;
 
-pub use bundle::{json_escape, DebugBundle};
+pub use bundle::{json_escape, json_escape_into, DebugBundle};
 pub use expo::{
     json_histogram_counts, lint_prometheus, prometheus_histogram_counts, TelemetrySnapshot,
 };

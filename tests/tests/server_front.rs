@@ -7,6 +7,7 @@ use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig};
 use esdb_doc::{CollectionSchema, Document, FieldValue};
 use esdb_integration_tests::test_dir;
+use esdb_server::json::Json;
 use esdb_server::{
     start, wire, AdmissionConfig, ClientError, EsdbClient, RateLimit, ServerConfig, TcpTransport,
     TokenTable, Transport, WireOp,
@@ -73,6 +74,74 @@ fn arb_doc() -> impl Strategy<Value = Document> {
         })
 }
 
+/// The `Json`-tree body `wire::encode_rows` wrote before it became a
+/// single pass, kept as its byte-identity oracle.
+fn encode_rows_tree(r: &wire::WireRows) -> String {
+    Json::Obj(vec![
+        (
+            "rows".to_string(),
+            Json::Arr(r.docs.iter().map(wire::encode_doc).collect()),
+        ),
+        (
+            "postings_scanned".to_string(),
+            Json::UInt(r.postings_scanned),
+        ),
+        ("docs_scanned".to_string(), Json::UInt(r.docs_scanned)),
+    ])
+    .to_text()
+}
+
+/// Strings over characters that reach every escape branch: quotes,
+/// backslashes, control characters, multi-byte unicode, and the empty
+/// string.
+fn arb_text() -> impl Strategy<Value = String> {
+    let chars = vec![
+        'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}',
+        'é', '中', '😀', '\u{2028}',
+    ];
+    proptest::collection::vec(proptest::sample::select(chars), 0..6)
+        .prop_map(|cs| cs.into_iter().collect())
+}
+
+/// Documents with every value kind, edge floats (signed zero, extremes,
+/// NaN, infinities) and hostile strings in names, values and attrs.
+fn arb_edge_doc() -> impl Strategy<Value = Document> {
+    let floats = vec![
+        0.0,
+        -0.0,
+        1.0,
+        -2.5,
+        1e300,
+        5e-324,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let value = prop_oneof![
+        Just(FieldValue::Null),
+        any::<bool>().prop_map(FieldValue::Bool),
+        any::<i64>().prop_map(FieldValue::Int),
+        proptest::sample::select(floats).prop_map(FieldValue::Float),
+        any::<u64>().prop_map(FieldValue::Timestamp),
+        arb_text().prop_map(FieldValue::Str),
+    ];
+    (
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        proptest::collection::vec((arb_text(), value), 0..5),
+        proptest::collection::vec((arb_text(), arb_text()), 0..3),
+    )
+        .prop_map(|((t, r, c), fields, attrs)| {
+            let mut b = Document::builder(TenantId(t), RecordId(r), c);
+            for (name, value) in fields {
+                b = b.field(name, value);
+            }
+            for (k, v) in attrs {
+                b = b.attr(k, v);
+            }
+            b.build()
+        })
+}
+
 fn arb_wire_op() -> impl Strategy<Value = WireOp> {
     prop_oneof![
         arb_doc().prop_map(WireOp::Insert),
@@ -83,6 +152,21 @@ fn arb_wire_op() -> impl Strategy<Value = WireOp> {
             created_at: c,
         }),
     ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass row writer is byte-identical to the `Json` tree.
+    #[test]
+    fn rows_writer_matches_the_json_tree(
+        docs in proptest::collection::vec(arb_edge_doc(), 0..5),
+        postings in any::<u64>(),
+        scanned in any::<u64>(),
+    ) {
+        let rows = wire::WireRows { docs, postings_scanned: postings, docs_scanned: scanned };
+        prop_assert_eq!(wire::encode_rows(&rows), encode_rows_tree(&rows));
+    }
 }
 
 proptest! {
