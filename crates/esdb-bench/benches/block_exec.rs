@@ -15,14 +15,14 @@
 //!    aggregate query — the hard identity gate,
 //! 3. verifies aggregate pushdown never touches a stored payload,
 //! 4. times filter and aggregate passes on both executors and gates block
-//!    throughput at >= 2x the scalar median (full mode), and
-//! 5. writes `BENCH_block_exec.json` at the repository root.
+//!    throughput at >= 2x the scalar median in full mode. The comparison
+//!    is single-threaded by construction, so the gate holds on any host.
 //!
-//! Pass `--fast` (or set `BLOCK_EXEC_BENCH_FAST=1`) for the CI smoke
-//! configuration: identity and payload gates stay hard, the speedup gate
-//! turns report-only.
+//! Run with `-- --fast` for the CI smoke scale: identity and payload
+//! gates stay hard, the speedup gate turns report-only.
 
 use criterion::black_box;
+use esdb_bench::report::{median, Report};
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig, EsdbReader};
@@ -32,7 +32,7 @@ use esdb_query::QueryOptions;
 use esdb_workload::{DocGenerator, WriteEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Zipf skew of tenant choice for data and queries (the paper's regime).
@@ -43,7 +43,6 @@ const THETA: f64 = 0.99;
 const SPEEDUP_GATE: f64 = 2.0;
 
 struct Scale {
-    mode: &'static str,
     shards: u32,
     tenants: usize,
     rows: u64,
@@ -52,7 +51,6 @@ struct Scale {
 }
 
 const FULL: Scale = Scale {
-    mode: "full",
     shards: 4,
     tenants: 20,
     rows: 60_000,
@@ -61,7 +59,6 @@ const FULL: Scale = Scale {
 };
 
 const FAST: Scale = Scale {
-    mode: "fast",
     shards: 2,
     tenants: 10,
     rows: 3_000,
@@ -112,11 +109,7 @@ fn agg_templates(tenant: u64) -> [String; 3] {
 }
 
 fn build(scale: &Scale) -> Esdb {
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "esdb-bench-blockexec-{}-{}",
-        scale.mode,
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("esdb-bench-blockexec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = Esdb::open(
         CollectionSchema::transaction_logs(),
@@ -194,20 +187,17 @@ fn time_agg_pass(rd: &EsdbReader, seq: &[String], opts: QueryOptions) -> u128 {
     t0.elapsed().as_nanos()
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast" || a == "fast")
-        || std::env::var("BLOCK_EXEC_BENCH_FAST").is_ok_and(|v| v == "1");
-    let scale = if fast { FAST } else { FULL };
-    let host_cores = esdb_bench::host_cores();
-    let degraded = esdb_bench::degraded_single_core(fast);
+fn main() -> ExitCode {
+    let mut report = Report::from_args("block_exec");
+    let scale = if report.fast() { FAST } else { FULL };
 
     let db = build(&scale);
     let rd = db.reader();
     let filter_seq = sequence(&scale, filter_templates, 42);
     let agg_seq = sequence(&scale, agg_templates, 43);
 
-    // Hard identity gate: block rows byte-identical to the scalar oracle
-    // on every filter query of the sequence.
+    // Identity gate: block rows byte-identical to the scalar oracle on
+    // every filter query of the sequence.
     let mut rows_identical = true;
     let mut block_stats = BlockStats::default();
     for sql in &filter_seq {
@@ -222,7 +212,7 @@ fn main() {
         block_stats.merge(&block.blocks);
     }
 
-    // Hard aggregate gates: identical rows (float epsilon) and zero
+    // Aggregate gates: identical rows (float epsilon) and zero
     // stored-payload reads under pushdown.
     let mut aggs_identical = true;
     let mut payload_reads = 0u64;
@@ -258,86 +248,49 @@ fn main() {
         agg_block.push(time_agg_pass(&rd, &agg_seq, QueryOptions::default()));
         agg_scalar.push(time_agg_pass(&rd, &agg_seq, scalar_opts()));
     }
-    let fb = esdb_bench::median(&mut filter_block);
-    let fs = esdb_bench::median(&mut filter_scalar);
-    let ab = esdb_bench::median(&mut agg_block);
-    let as_ = esdb_bench::median(&mut agg_scalar);
+    let fb = median(&mut filter_block);
+    let fs = median(&mut filter_scalar);
+    let ab = median(&mut agg_block);
+    let as_ = median(&mut agg_scalar);
     let filter_speedup = fs as f64 / fb as f64;
     let agg_speedup = as_ as f64 / ab as f64;
 
-    let stats = db.stats();
     println!(
-        "block_exec/{}: filter block median {:.3} ms, scalar median {:.3} ms ({:.2}x)",
-        scale.mode,
+        "block_exec: filter {:.3} ms block vs {:.3} ms scalar ({filter_speedup:.2}x), \
+         aggregate {:.3} ms vs {:.3} ms ({agg_speedup:.2}x)",
         fb as f64 / 1e6,
         fs as f64 / 1e6,
-        filter_speedup,
-    );
-    println!(
-        "block_exec/{}: aggregate block median {:.3} ms, scalar median {:.3} ms ({:.2}x)",
-        scale.mode,
         ab as f64 / 1e6,
         as_ as f64 / 1e6,
-        agg_speedup,
     );
-    println!(
-        "block_exec/{}: blocks scanned {} skipped {} pruned {}, \
-         block queries {} scalar queries {}, pushdown payload reads {payload_reads}",
-        scale.mode,
-        block_stats.scanned,
-        block_stats.skipped,
-        block_stats.pruned,
-        stats.block_queries,
-        stats.scalar_queries,
+    let stats = db.stats();
+    report
+        .field("theta", THETA)
+        .field("shards", scale.shards)
+        .field("tenants", scale.tenants)
+        .field("rows", scale.rows)
+        .field("queries_per_pass", scale.queries_per_pass)
+        .field("samples", scale.samples)
+        .field("filter_block_median_ns", fb)
+        .field("filter_scalar_median_ns", fs)
+        .field("filter_speedup", filter_speedup)
+        .field("agg_block_median_ns", ab)
+        .field("agg_scalar_median_ns", as_)
+        .field("agg_speedup", agg_speedup)
+        .field("speedup_gate", SPEEDUP_GATE)
+        .field("aggregate_payload_reads", payload_reads)
+        .field("blocks_scanned", block_stats.scanned)
+        .field("blocks_skipped", block_stats.skipped)
+        .field("blocks_pruned", block_stats.pruned)
+        .field("block_queries", stats.block_queries)
+        .field("scalar_queries", stats.scalar_queries);
+    report.check("block_rows_identical_to_scalar", rows_identical);
+    report.check("aggregates_identical_to_scalar", aggs_identical);
+    report.check("pushdown_reads_no_payload", payload_reads == 0);
+    report.timing_gate(
+        "block_speedup_2x",
+        filter_speedup >= SPEEDUP_GATE && agg_speedup >= SPEEDUP_GATE,
+        1,
     );
-
-    // The comparison is single-threaded by construction, so the speedup
-    // gate holds on any host — it is only relaxed in fast (smoke) mode.
-    let gate_enforced = !fast;
-    let json = format!(
-        "{{\n  \"bench\": \"block_exec\",\n  \"mode\": \"{}\",\n  \"theta\": {THETA},\n  \
-         \"shards\": {},\n  \"tenants\": {},\n  \"rows\": {},\n  \
-         \"queries_per_pass\": {},\n  \"samples\": {},\n  \
-         \"host_cores\": {host_cores},\n  \"degraded_single_core\": {degraded},\n  \
-         \"filter_block_median_ns\": {fb},\n  \"filter_scalar_median_ns\": {fs},\n  \
-         \"filter_speedup\": {filter_speedup:.4},\n  \
-         \"agg_block_median_ns\": {ab},\n  \"agg_scalar_median_ns\": {as_},\n  \
-         \"agg_speedup\": {agg_speedup:.4},\n  \
-         \"speedup_gate\": {SPEEDUP_GATE},\n  \"speedup_gate_enforced\": {gate_enforced},\n  \
-         \"block_rows_identical_to_scalar\": {rows_identical},\n  \
-         \"aggregates_identical_to_scalar\": {aggs_identical},\n  \
-         \"aggregate_payload_reads\": {payload_reads},\n  \
-         \"blocks\": {{\"scanned\": {}, \"skipped\": {}, \"pruned\": {}}}\n}}\n",
-        scale.mode,
-        scale.shards,
-        scale.tenants,
-        scale.rows,
-        scale.queries_per_pass,
-        scale.samples,
-        block_stats.scanned,
-        block_stats.skipped,
-        block_stats.pruned,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_block_exec.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !rows_identical || !aggs_identical {
-        eprintln!("block_exec: FAILED identity gate");
-        std::process::exit(1);
-    }
-    if payload_reads != 0 {
-        eprintln!("block_exec: FAILED payload gate: pushdown read {payload_reads} payloads");
-        std::process::exit(1);
-    }
-    if gate_enforced && (filter_speedup < SPEEDUP_GATE || agg_speedup < SPEEDUP_GATE) {
-        eprintln!(
-            "block_exec: FAILED speedup gate: filter {filter_speedup:.2}x, \
-             aggregate {agg_speedup:.2}x (need {SPEEDUP_GATE}x)"
-        );
-        std::process::exit(1);
-    }
-    println!("block_exec/{}: all gates passed", scale.mode);
+    report.finish()
 }

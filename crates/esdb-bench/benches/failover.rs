@@ -13,8 +13,7 @@
 //!    by replaying their translog tails,
 //! 4. drains, then reports promotion latency p50/p99, per-node
 //!    unavailability, replayed ops, and retry counts from the shared
-//!    telemetry registry, and
-//! 5. writes `BENCH_failover.json` at the repository root.
+//!    telemetry registry.
 //!
 //! Gates (non-zero exit on violation):
 //!
@@ -22,18 +21,20 @@
 //!   (every generated write completes: conservation),
 //! - at least one promotion with replayed ops (the failover actually ran),
 //! - recovery drains within a bounded tick budget,
-//! - the same seed produces a byte-identical JSON report across two full
+//! - the same seed produces a byte-identical report across two full
 //!   scenario runs (end-to-end determinism),
 //! - the Prometheus exposition passes `lint_prometheus` and carries the
 //!   recovery series.
 //!
-//! Pass `--fast` (or set `FAILOVER_BENCH_FAST=1`) for the CI smoke
-//! configuration.
+//! Every gate is enforced in both modes. Run with `-- --fast` for the CI
+//! smoke scale.
 
+use esdb_bench::report::Report;
 use esdb_chaos::{ChaosEvent, ChaosSchedule};
 use esdb_cluster::{ClusterConfig, PolicySpec, SimCluster};
 use esdb_telemetry::{lint_prometheus, unresolved_parents, Event};
 use esdb_workload::{RateSchedule, TraceGenerator};
+use std::process::ExitCode;
 
 /// Zipf skew of the tenant choice (the paper's hot-tenant regime).
 const THETA: f64 = 0.99;
@@ -42,7 +43,6 @@ const THETA: f64 = 0.99;
 const SEED: u64 = 42;
 
 struct Scale {
-    mode: &'static str,
     n_nodes: u32,
     n_shards: u32,
     node_capacity_per_sec: f64,
@@ -59,7 +59,6 @@ struct Scale {
 }
 
 const FULL: Scale = Scale {
-    mode: "full",
     n_nodes: 8,
     n_shards: 64,
     node_capacity_per_sec: 4_000.0,
@@ -72,7 +71,6 @@ const FULL: Scale = Scale {
 };
 
 const FAST: Scale = Scale {
-    mode: "fast",
     n_nodes: 4,
     n_shards: 32,
     node_capacity_per_sec: 1_000.0,
@@ -84,47 +82,46 @@ const FAST: Scale = Scale {
     max_recovery_ticks: 400,
 };
 
-struct ScenarioResult {
-    json: String,
+struct Scenario {
+    report: Report,
     prometheus: String,
     bundle_json: String,
-    gates: Vec<String>,
 }
 
 /// Walks the flight-recorder journal for the full causal chain of one
 /// failover: chaos fault → node crash → promotion start → translog
 /// replay → promotion complete, plus restart → resync. Each link must
-/// name its predecessor via `parent_seq`.
-fn causal_chain_gates(journal: &[Event]) -> Vec<String> {
-    let mut gates = Vec::new();
+/// name its predecessor via `parent_seq`. Returns the broken links.
+fn causal_chain_problems(journal: &[Event]) -> Vec<String> {
+    let mut problems = Vec::new();
     let find = |name: &str, parent: Option<u64>| {
         journal
             .iter()
             .find(|e| e.kind.name() == name && parent.map_or(true, |p| e.parent_seq == p))
     };
     let Some(crash) = find("node_crashed", None) else {
-        gates.push("journal missing node_crashed".into());
-        return gates;
+        problems.push("journal missing node_crashed".into());
+        return problems;
     };
     if crash.parent_seq == esdb_telemetry::NO_PARENT {
-        gates.push("node_crashed is not linked to its chaos fault".into());
+        problems.push("node_crashed is not linked to its chaos fault".into());
     } else if find("chaos_fault_injected", None).is_none() {
-        gates.push("journal missing chaos_fault_injected".into());
+        problems.push("journal missing chaos_fault_injected".into());
     }
     let Some(started) = find("promotion_started", Some(crash.seq)) else {
-        gates.push("no promotion_started caused by the node crash".into());
-        return gates;
+        problems.push("no promotion_started caused by the node crash".into());
+        return problems;
     };
     let Some(replayed) = find("translog_replayed", Some(started.seq)) else {
-        gates.push("no translog_replayed caused by the promotion".into());
-        return gates;
+        problems.push("no translog_replayed caused by the promotion".into());
+        return problems;
     };
     if find("promotion_completed", Some(replayed.seq)).is_none() {
-        gates.push("no promotion_completed caused by the translog replay".into());
+        problems.push("no promotion_completed caused by the translog replay".into());
     }
     let Some(restarted) = find("node_restarted", Some(crash.seq)) else {
-        gates.push("no node_restarted linked back to the crash".into());
-        return gates;
+        problems.push("no node_restarted linked back to the crash".into());
+        return problems;
     };
     // Resyncs are caused by the crash (dead replica rebuilt on a
     // survivor) or by the restart (returning node re-adopts a copy) —
@@ -132,9 +129,9 @@ fn causal_chain_gates(journal: &[Event]) -> Vec<String> {
     if find("replica_resynced", Some(crash.seq)).is_none()
         && find("replica_resynced", Some(restarted.seq)).is_none()
     {
-        gates.push("no replica_resynced linked to the crash or restart".into());
+        problems.push("no replica_resynced linked to the crash or restart".into());
     }
-    gates
+    problems
 }
 
 /// Hottest node = most routed arrivals summed over the shards it
@@ -153,7 +150,10 @@ fn hottest_node(cluster: &SimCluster, n_nodes: u32) -> u32 {
         .expect("at least one node")
 }
 
-fn run_scenario(scale: &Scale) -> ScenarioResult {
+/// Runs the scenario at the scale `report`'s mode selects and records
+/// it there.
+fn run_scenario(mut report: Report) -> Scenario {
+    let scale = if report.fast() { FAST } else { FULL };
     let mut cfg = ClusterConfig::small(PolicySpec::DoubleHashing { s: 8 });
     cfg.n_nodes = scale.n_nodes;
     cfg.n_shards = scale.n_shards;
@@ -203,8 +203,8 @@ fn run_scenario(scale: &Scale) -> ScenarioResult {
     let prometheus = snap.to_prometheus();
     let bundle = cluster.debug_bundle();
     let bundle_json = bundle.to_json();
-    let report = cluster.finish();
-    let completed: u64 = report.ticks.iter().map(|t| t.completed).sum();
+    let run = cluster.finish();
+    let completed: u64 = run.ticks.iter().map(|t| t.completed).sum();
 
     let promo = snap
         .histograms
@@ -219,128 +219,84 @@ fn run_scenario(scale: &Scale) -> ScenarioResult {
         .map(|(_, _, h)| h.clone())
         .expect("unavailability histogram registered");
 
-    let mut gates = Vec::new();
-    if report.lost_acknowledged_writes != 0 {
-        gates.push(format!(
-            "lost {} acknowledged writes (replica existed for every shard)",
-            report.lost_acknowledged_writes
-        ));
+    report
+        .field("seed", SEED)
+        .field("theta", THETA)
+        .field("nodes", scale.n_nodes)
+        .field("shards", scale.n_shards)
+        .field("rate_tps", scale.rate)
+        .field("killed_node", victim)
+        .field("crash_ms", crash_ms)
+        .field("restart_ms", restart_ms)
+        .field("generated", generated)
+        .field("completed", completed)
+        .field("node_crashes", run.node_crashes)
+        .field("node_restarts", run.node_restarts)
+        .field("promotions", run.promotions)
+        .field("replayed_ops", run.replayed_ops)
+        .field("resync_ops", run.resync_ops)
+        .field("promotion_p50_ms", promo.quantile(0.50))
+        .field("promotion_p99_ms", promo.quantile(0.99))
+        .field("promotion_max_ms", promo.max())
+        .field("node_unavailability_ms", unavail.max())
+        .field("write_retries", run.write_retries)
+        .field("failed_writes", run.failed_writes)
+        .field("lost_acknowledged_writes", run.lost_acknowledged_writes)
+        .field("recovery_drain_ticks", recovery_ticks);
+    report.check(
+        "no_lost_acknowledged_writes",
+        run.lost_acknowledged_writes == 0,
+    );
+    report.check("no_retry_exhausted_writes", run.failed_writes == 0);
+    report.check("writes_conserved", completed == generated);
+    report.check("failover_promoted", run.promotions > 0);
+    report.check("promotion_replayed_translog", run.replayed_ops > 0);
+    report.check("recovery_drained_in_budget", drained);
+    let problems = causal_chain_problems(&bundle.journal);
+    for p in &problems {
+        eprintln!("failover: {p}");
     }
-    if report.failed_writes != 0 {
-        gates.push(format!(
-            "{} writes exhausted their retry budget",
-            report.failed_writes
-        ));
-    }
-    if completed != generated {
-        gates.push(format!(
-            "conservation broken: completed {completed} != generated {generated}"
-        ));
-    }
-    if report.promotions == 0 {
-        gates.push("no promotions — the kill never triggered failover".into());
-    }
-    if report.replayed_ops == 0 {
-        gates.push("promotions replayed zero translog ops".into());
-    }
-    if !drained {
-        gates.push(format!(
-            "recovery did not drain within {} ticks",
-            scale.max_recovery_ticks
-        ));
-    }
-    gates.extend(causal_chain_gates(&bundle.journal));
+    report.check("journal_causal_chain", problems.is_empty());
     let orphans = unresolved_parents(&bundle.journal, bundle.journal_evicted_max);
-    if !orphans.is_empty() {
-        gates.push(format!("journal has unresolved parent links: {orphans:?}"));
-    }
-    let lint = lint_prometheus(&prometheus);
-    if !lint.is_empty() {
-        gates.push(format!("prometheus lint: {lint:?}"));
-    }
-    for series in [
+    report.check("journal_parents_resolved", orphans.is_empty());
+    report.check("prometheus_lint", lint_prometheus(&prometheus).is_empty());
+    let missing: Vec<&str> = [
         "esdb_failover_promotion_ms",
         "esdb_failover_promotions_total",
         "esdb_failover_replayed_ops_total",
         "esdb_sim_node_unavailability_ms",
         "esdb_sim_node_up",
         "esdb_sim_write_retries_total",
-    ] {
-        if !prometheus.contains(series) {
-            gates.push(format!("prometheus output missing {series}"));
-        }
+    ]
+    .into_iter()
+    .filter(|series| !prometheus.contains(series))
+    .collect();
+    if !missing.is_empty() {
+        eprintln!("failover: prometheus output missing {missing:?}");
     }
-
-    let host_cores = esdb_bench::host_cores();
-    let degraded = esdb_bench::degraded_single_core(scale.mode == "fast");
-    let json = format!(
-        "{{\n  \"bench\": \"failover\",\n  \"mode\": \"{}\",\n  \"seed\": {SEED},\n  \
-         \"host_cores\": {host_cores},\n  \"degraded_single_core\": {degraded},\n  \
-         \"theta\": {THETA},\n  \"nodes\": {},\n  \"shards\": {},\n  \"rate_tps\": {},\n  \
-         \"killed_node\": {victim},\n  \"crash_ms\": {crash_ms},\n  \
-         \"restart_ms\": {restart_ms},\n  \"generated\": {generated},\n  \
-         \"completed\": {completed},\n  \"node_crashes\": {},\n  \"node_restarts\": {},\n  \
-         \"promotions\": {},\n  \"replayed_ops\": {},\n  \"resync_ops\": {},\n  \
-         \"promotion_p50_ms\": {},\n  \"promotion_p99_ms\": {},\n  \
-         \"promotion_max_ms\": {},\n  \"node_unavailability_ms\": {},\n  \
-         \"write_retries\": {},\n  \"failed_writes\": {},\n  \
-         \"lost_acknowledged_writes\": {},\n  \"recovery_drain_ticks\": {recovery_ticks}\n}}\n",
-        scale.mode,
-        scale.n_nodes,
-        scale.n_shards,
-        scale.rate,
-        report.node_crashes,
-        report.node_restarts,
-        report.promotions,
-        report.replayed_ops,
-        report.resync_ops,
-        promo.quantile(0.50),
-        promo.quantile(0.99),
-        promo.max(),
-        unavail.max(),
-        report.write_retries,
-        report.failed_writes,
-        report.lost_acknowledged_writes,
-    );
-    ScenarioResult {
-        json,
+    report.check("prometheus_recovery_series", missing.is_empty());
+    Scenario {
+        report,
         prometheus,
         bundle_json,
-        gates,
     }
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast" || a == "fast")
-        || std::env::var("FAILOVER_BENCH_FAST").is_ok_and(|v| v == "1");
-    let scale = if fast { FAST } else { FULL };
-
-    let first = run_scenario(&scale);
-    let second = run_scenario(&scale);
-
-    let mut gates = first.gates;
-    if first.json != second.json {
-        gates.push("DETERMINISM VIOLATION: same seed produced different reports".into());
-    }
-    if first.prometheus != second.prometheus {
-        gates.push("DETERMINISM VIOLATION: telemetry diverged across reruns".into());
-    }
-    if first.bundle_json != second.bundle_json {
-        gates.push("DETERMINISM VIOLATION: debug bundles diverged across reruns".into());
-    }
-
-    print!("{}", first.json);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_failover.json");
-    match std::fs::write(path, &first.json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !gates.is_empty() {
-        for g in &gates {
-            eprintln!("failover: FAILED gate: {g}");
-        }
-        std::process::exit(1);
-    }
-    println!("failover/{}: all gates passed", scale.mode);
+fn main() -> ExitCode {
+    let first = run_scenario(Report::from_args("failover"));
+    let second = run_scenario(Report::from_args("failover"));
+    let mut report = first.report;
+    report.check(
+        "same_seed_same_report",
+        report.to_json() == second.report.to_json(),
+    );
+    report.check(
+        "same_seed_same_telemetry",
+        first.prometheus == second.prometheus,
+    );
+    report.check(
+        "same_seed_same_debug_bundle",
+        first.bundle_json == second.bundle_json,
+    );
+    report.finish()
 }

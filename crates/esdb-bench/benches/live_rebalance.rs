@@ -12,8 +12,7 @@
 //!    lifecycle — segment handoff, translog-tail drain, barriered
 //!    cutover — stepping one phase every `step_every` writes,
 //! 4. verifies physical collapse (every hot row at exactly its new-span
-//!    placement) and row identity across the cutover, and
-//! 5. writes `BENCH_live_rebalance.json` at the repository root.
+//!    placement) and row identity across the cutover.
 //!
 //! Gates (non-zero exit on violation):
 //!
@@ -28,12 +27,13 @@
 //! - the journal carries the parent-linked lifecycle chain and the
 //!   Prometheus exposition passes `lint_prometheus` with every
 //!   `esdb_migration_*` series present,
-//! - the same seed produces a byte-identical JSON report across two
-//!   full scenario runs (end-to-end determinism on the manual clock).
+//! - the same seed produces a byte-identical report across two full
+//!   scenario runs (end-to-end determinism on the manual clock).
 //!
-//! Pass `--fast` (or set `LIVE_REBALANCE_BENCH_FAST=1`) for the CI
-//! smoke configuration.
+//! Every gate is enforced in both modes. Run with `-- --fast` for the CI
+//! smoke scale.
 
+use esdb_bench::report::Report;
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, ShardId, SharedClock, TenantId};
 use esdb_core::{Esdb, EsdbConfig, MigrationPhase};
@@ -42,6 +42,7 @@ use esdb_routing::place;
 use esdb_telemetry::{lint_prometheus, unresolved_parents, Event};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 /// Zipf skew of the tenant choice (the paper's hot-tenant regime).
 const THETA: f64 = 0.99;
@@ -50,7 +51,6 @@ const THETA: f64 = 0.99;
 const SEED: u64 = 42;
 
 struct Scale {
-    mode: &'static str,
     shards: u32,
     tenants: usize,
     /// Rows written before the rule commits.
@@ -64,7 +64,6 @@ struct Scale {
 }
 
 const FULL: Scale = Scale {
-    mode: "full",
     shards: 16,
     tenants: 1_000,
     preload_rows: 20_000,
@@ -74,7 +73,6 @@ const FULL: Scale = Scale {
 };
 
 const FAST: Scale = Scale {
-    mode: "fast",
     shards: 8,
     tenants: 200,
     preload_rows: 3_000,
@@ -83,19 +81,19 @@ const FAST: Scale = Scale {
     commit_wait_ms: 5,
 };
 
-struct ScenarioResult {
-    json: String,
+struct Scenario {
+    report: Report,
     prometheus: String,
-    gates: Vec<String>,
 }
 
 /// Walks the journal for each migration's causal chain: hot-tenant
 /// detection → rule append → migration start → segment shipping →
 /// tail drain → cutover → completion. Several tenants can migrate in
 /// one run, so the check follows real `parent_seq` links upward from
-/// every completion rather than matching event names globally.
-fn causal_chain_gates(journal: &[Event]) -> Vec<String> {
-    let mut gates = Vec::new();
+/// every completion rather than matching event names globally. Returns
+/// the broken links.
+fn causal_chain_problems(journal: &[Event]) -> Vec<String> {
+    let mut problems = Vec::new();
     let by_seq: std::collections::HashMap<u64, &Event> =
         journal.iter().map(|e| (e.seq, e)).collect();
     let chain = [
@@ -112,17 +110,17 @@ fn causal_chain_gates(journal: &[Event]) -> Vec<String> {
         .filter(|e| e.kind.name() == "migration_completed")
         .collect();
     if completions.is_empty() {
-        gates.push("journal has no migration_completed event".into());
+        problems.push("journal has no migration_completed event".into());
     }
     for done in completions {
         let mut cur = done;
         for pair in chain.windows(2) {
             let Some(parent) = by_seq.get(&cur.parent_seq) else {
-                gates.push(format!("{} (seq {}) has no parent", pair[0], cur.seq));
+                problems.push(format!("{} (seq {}) has no parent", pair[0], cur.seq));
                 break;
             };
             if parent.kind.name() != pair[1] {
-                gates.push(format!(
+                problems.push(format!(
                     "{} parent is {}, expected {}",
                     pair[0],
                     parent.kind.name(),
@@ -133,7 +131,7 @@ fn causal_chain_gates(journal: &[Event]) -> Vec<String> {
             cur = parent;
         }
     }
-    gates
+    problems
 }
 
 /// The wall-clock-free subset of the exposition: counters and gauges
@@ -177,11 +175,12 @@ fn bench_doc(tenant: u64, record: u64, at: u64) -> Document {
         .build()
 }
 
-fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
+/// Runs the scenario at the scale `report`'s mode selects and records
+/// it there.
+fn run_scenario(mut report: Report, run: u32) -> Scenario {
+    let scale = if report.fast() { FAST } else { FULL };
     let dir = std::env::temp_dir().join(format!(
-        "esdb-bench-live-rebalance-{}-{}-{}",
-        scale.mode,
-        run,
+        "esdb-bench-live-rebalance-{run}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -227,23 +226,17 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
     // Phase 2: the balancer commits the grow-rule under commit-wait.
     // The hot tenant is the one whose rule grew the widest span (the
     // Zipf head); the migration is forced, not incidental.
-    let mut gates = Vec::new();
     db.rebalance();
-    let Some(rule) = db.rules_snapshot().into_iter().max_by_key(|r| r.offset) else {
-        gates.push("skew did not commit a grow-rule".into());
-        return ScenarioResult {
-            json: String::new(),
+    let rule = db.rules_snapshot().into_iter().max_by_key(|r| r.offset);
+    let Some(rule) = rule.filter(|r| r.offset > 1) else {
+        report.check("skew_commits_grow_rule", false);
+        return Scenario {
+            report,
             prometheus: String::new(),
-            gates,
         };
     };
+    report.check("skew_commits_grow_rule", true);
     let hot = rule.tenants[0];
-    if rule.offset <= 1 {
-        gates.push(format!(
-            "rule did not grow the span: offset {}",
-            rule.offset
-        ));
-    }
     // Pre-migration snapshot: the rule is committed but still inside
     // its commit-wait, so nothing has physically moved yet.
     db.refresh();
@@ -252,13 +245,10 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
         hot.0
     );
     let before = rd.query(&sql).expect("pre-migration query").docs;
-    if before.len() as u64 != counts[hot.0 as usize] {
-        gates.push(format!(
-            "pre-migration visibility: {} hot rows acked, {} visible",
-            counts[hot.0 as usize],
-            before.len()
-        ));
-    }
+    report.check(
+        "acked_rows_visible_before_migration",
+        before.len() as u64 == counts[hot.0 as usize],
+    );
     driver.advance(scale.commit_wait_ms + 1);
     now += scale.commit_wait_ms + 1;
 
@@ -278,23 +268,15 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
         .into_iter()
         .find(|s| s.tenant == hot)
         .expect("hot-tenant migration registered");
-    if status.phase != MigrationPhase::Done {
-        gates.push(format!(
-            "migration did not complete: stuck in {:?}",
-            status.phase
-        ));
-    }
+    report.check("migration_done", status.phase == MigrationPhase::Done);
 
     // Phase 4: conservation, row identity, physical collapse.
     db.refresh();
     let after = rd.query(&sql).expect("post-migration query").docs;
-    if after.len() as u64 != acked_hot {
-        gates.push(format!(
-            "LOST ACKED WRITES: {} hot rows acked, {} visible after cutover",
-            acked_hot,
-            after.len()
-        ));
-    }
+    report.check(
+        "no_lost_acknowledged_writes",
+        after.len() as u64 == acked_hot,
+    );
     // Row identity across the cutover: live writes (record ids past the
     // preload range, some with lagged timestamps) interleave into the
     // order, so compare the preload-era subsequence byte-for-byte.
@@ -302,39 +284,30 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
         .iter()
         .filter(|d| d.record_id.raw() < scale.preload_rows)
         .collect();
-    if preload_after.len() != before.len()
-        || preload_after
-            .iter()
-            .zip(before.iter())
-            .any(|(a, b)| **a != *b)
-    {
-        gates.push("row identity broken across the cutover".into());
-    }
-    if status.tail_ops == 0 {
-        gates.push("translog tail never exercised: no out-of-order write was captured".into());
-    }
-    for d in &after {
-        let h = holders(&db, scale.shards, d.record_id.raw());
+    report.check(
+        "rows_identical_across_cutover",
+        preload_after.len() == before.len()
+            && preload_after.iter().zip(&before).all(|(a, b)| **a == *b),
+    );
+    // An out-of-order write was captured by the translog tail.
+    report.check("translog_tail_exercised", status.tail_ops > 0);
+    let misplaced = after.iter().find(|d| {
         let dest = place(hot, d.record_id, rule.offset, scale.shards).0;
-        if h != vec![dest] {
-            gates.push(format!(
-                "old span not collapsed: record {} held by {:?}, expected [{}]",
-                d.record_id.raw(),
-                h,
-                dest
-            ));
-            break;
-        }
+        holders(&db, scale.shards, d.record_id.raw()) != [dest]
+    });
+    if let Some(d) = misplaced {
+        eprintln!(
+            "live_rebalance: record {} not only on its new-span shard",
+            d.record_id.raw()
+        );
     }
+    report.check("old_span_collapsed", misplaced.is_none());
 
     // Phase 5: observability gates.
     let snap = db.telemetry_snapshot();
     let prometheus = snap.to_prometheus();
-    let lint = lint_prometheus(&prometheus);
-    if !lint.is_empty() {
-        gates.push(format!("prometheus lint: {lint:?}"));
-    }
-    for series in [
+    report.check("prometheus_lint", lint_prometheus(&prometheus).is_empty());
+    let missing: Vec<&str> = [
         "esdb_migration_completed_total",
         "esdb_migration_rows_moved_total",
         "esdb_migration_segments_moved_total",
@@ -342,85 +315,58 @@ fn run_scenario(scale: &Scale, run: u32) -> ScenarioResult {
         "esdb_migration_tail_ops_total",
         "esdb_migration_cutover_ns",
         "esdb_migrations_active",
-    ] {
-        if !prometheus.contains(series) {
-            gates.push(format!("prometheus output missing {series}"));
-        }
+    ]
+    .into_iter()
+    .filter(|series| !prometheus.contains(series))
+    .collect();
+    if !missing.is_empty() {
+        eprintln!("live_rebalance: prometheus output missing {missing:?}");
     }
+    report.check("prometheus_migration_series", missing.is_empty());
     let bundle = db.debug_bundle();
-    gates.extend(causal_chain_gates(&bundle.journal));
+    let problems = causal_chain_problems(&bundle.journal);
+    for p in &problems {
+        eprintln!("live_rebalance: {p}");
+    }
+    report.check("journal_causal_chain", problems.is_empty());
     let orphans = unresolved_parents(&bundle.journal, bundle.journal_evicted_max);
-    if !orphans.is_empty() {
-        gates.push(format!("journal has unresolved parent links: {orphans:?}"));
-    }
+    report.check("journal_parents_resolved", orphans.is_empty());
 
-    // The JSON stays wall-clock-free (manual clock, no durations), so
-    // the determinism gate can compare two runs byte-for-byte.
-    let host_cores = esdb_bench::host_cores();
-    let degraded = esdb_bench::degraded_single_core(scale.mode == "fast");
-    let json = format!(
-        "{{\n  \"bench\": \"live_rebalance\",\n  \"mode\": \"{}\",\n  \"seed\": {SEED},\n  \
-         \"host_cores\": {host_cores},\n  \"degraded_single_core\": {degraded},\n  \
-         \"theta\": {THETA},\n  \"shards\": {},\n  \"tenants\": {},\n  \
-         \"hot_tenant\": {},\n  \"generated\": {acked},\n  \"acked_hot\": {acked_hot},\n  \
-         \"hot_rows_before\": {},\n  \"hot_rows_after\": {},\n  \
-         \"old_span\": {},\n  \"new_span\": {},\n  \"rule_effective_time\": {},\n  \
-         \"segments_shipped\": {},\n  \"bytes_shipped\": {},\n  \"rows_moved\": {},\n  \
-         \"tail_ops\": {},\n  \"migration_phase\": \"{}\"\n}}\n",
-        scale.mode,
-        scale.shards,
-        scale.tenants,
-        hot.0,
-        before.len(),
-        after.len(),
-        status.old_span,
-        status.new_span,
-        status.effective_time,
-        status.segments_shipped,
-        status.bytes_shipped,
-        status.rows_moved,
-        status.tail_ops,
-        status.phase.as_str(),
-    );
+    // The report stays wall-clock-free (manual clock, no durations), so
+    // the determinism gate can compare two runs byte for byte.
+    report
+        .field("seed", SEED)
+        .field("theta", THETA)
+        .field("shards", scale.shards)
+        .field("tenants", scale.tenants)
+        .field("hot_tenant", hot.0)
+        .field("generated", acked)
+        .field("acked_hot", acked_hot)
+        .field("hot_rows_before", before.len())
+        .field("hot_rows_after", after.len())
+        .field("old_span", status.old_span)
+        .field("new_span", status.new_span)
+        .field("rule_effective_time", status.effective_time)
+        .field("segments_shipped", status.segments_shipped)
+        .field("bytes_shipped", status.bytes_shipped)
+        .field("rows_moved", status.rows_moved)
+        .field("tail_ops", status.tail_ops)
+        .field("migration_phase", status.phase.as_str());
     let _ = std::fs::remove_dir_all(&dir);
-    ScenarioResult {
-        json,
-        prometheus,
-        gates,
-    }
+    Scenario { report, prometheus }
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast" || a == "fast")
-        || std::env::var("LIVE_REBALANCE_BENCH_FAST").is_ok_and(|v| v == "1");
-    let scale = if fast { FAST } else { FULL };
-
-    let first = run_scenario(&scale, 0);
-    let second = run_scenario(&scale, 1);
-
-    let mut gates = first.gates;
-    if first.json != second.json {
-        gates.push("DETERMINISM VIOLATION: same seed produced different reports".into());
-    }
-    if deterministic_series(&first.prometheus) != deterministic_series(&second.prometheus) {
-        gates.push("DETERMINISM VIOLATION: telemetry diverged across reruns".into());
-    }
-
-    print!("{}", first.json);
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_live_rebalance.json"
+fn main() -> ExitCode {
+    let first = run_scenario(Report::from_args("live_rebalance"), 0);
+    let second = run_scenario(Report::from_args("live_rebalance"), 1);
+    let mut report = first.report;
+    report.check(
+        "same_seed_same_report",
+        report.to_json() == second.report.to_json(),
     );
-    match std::fs::write(path, &first.json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !gates.is_empty() {
-        for g in &gates {
-            eprintln!("live_rebalance: FAILED gate: {g}");
-        }
-        std::process::exit(1);
-    }
-    println!("live_rebalance/{}: all gates passed", scale.mode);
+    report.check(
+        "same_seed_same_telemetry",
+        deterministic_series(&first.prometheus) == deterministic_series(&second.prometheus),
+    );
+    report.finish()
 }

@@ -12,29 +12,29 @@
 //! 3. verifies row-identical results between the two instances on a cold
 //!    AND a warm pass (the determinism gate),
 //! 4. times the cold pass, warm passes (enabled), and uncached passes
-//!    (disabled), and
-//! 5. writes `BENCH_query_cache.json` at the repository root.
+//!    (disabled).
 //!
 //! Exits non-zero if the determinism gate fails or the warm passes are
-//! slower than the uncached baseline (speedup < 1.0). Pass `--fast` (or
-//! set `QUERY_CACHE_BENCH_FAST=1`) for the CI smoke configuration.
+//! slower than the uncached baseline (speedup < 1.0), in every mode. Run
+//! with `-- --fast` for the CI smoke scale.
 
 use criterion::black_box;
+use esdb_bench::report::{median, Report};
+use esdb_bench::{query_sequence, row_keys};
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig, EsdbReader};
 use esdb_doc::CollectionSchema;
 use esdb_workload::{DocGenerator, WriteEvent};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use rand::SeedableRng;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Zipf skew of the tenant choice (the paper's hot-tenant regime).
 const THETA: f64 = 0.99;
 
 struct Scale {
-    mode: &'static str,
     shards: u32,
     tenants: usize,
     rows: u64,
@@ -43,7 +43,6 @@ struct Scale {
 }
 
 const FULL: Scale = Scale {
-    mode: "full",
     shards: 8,
     tenants: 20,
     rows: 48_000,
@@ -52,7 +51,6 @@ const FULL: Scale = Scale {
 };
 
 const FAST: Scale = Scale {
-    mode: "fast",
     shards: 4,
     tenants: 10,
     rows: 6_000,
@@ -60,35 +58,9 @@ const FAST: Scale = Scale {
     samples: 5,
 };
 
-/// The template queries a hot tenant repeats (filter + sort + top-k
-/// shapes from Fig. 17). Small LIMITs keep the fetch phase — paid by
-/// cached and uncached execution alike — from hiding the index and sort
-/// work the cache saves.
-fn templates(tenant: u64) -> [String; 3] {
-    [
-        format!(
-            "SELECT * FROM transaction_logs WHERE tenant_id = {tenant} \
-             AND status = 1 ORDER BY created_time DESC LIMIT 50"
-        ),
-        format!(
-            "SELECT * FROM transaction_logs WHERE tenant_id = {tenant} \
-             AND group IN (1, 2, 3) ORDER BY created_time ASC LIMIT 50"
-        ),
-        format!(
-            "SELECT * FROM transaction_logs WHERE tenant_id = {tenant} \
-             AND created_time BETWEEN 1000000 AND 100000000 \
-             ORDER BY created_time DESC LIMIT 50"
-        ),
-    ]
-}
-
 fn build(scale: &Scale, caches: bool) -> Esdb {
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "esdb-bench-qcache-{}-{}-{}",
-        scale.mode,
-        caches,
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("esdb-bench-qcache-{caches}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = Esdb::open(
         CollectionSchema::transaction_logs(),
@@ -119,43 +91,16 @@ fn build(scale: &Scale, caches: bool) -> Esdb {
     db
 }
 
-/// The Zipf-skewed query sequence: identical for every instance and pass.
-fn query_sequence(scale: &Scale) -> Vec<String> {
-    let zipf = ZipfSampler::new(scale.tenants, THETA);
-    let mut rng = StdRng::seed_from_u64(42);
-    (0..scale.queries_per_pass)
-        .map(|_| {
-            let tenant = 1 + zipf.sample(&mut rng) as u64;
-            let t = templates(tenant);
-            t[rng.random_range(0..t.len())].clone()
-        })
-        .collect()
-}
-
-/// Runs one pass; returns the row-key fingerprint of every result.
-fn run_pass(rd: &EsdbReader, seq: &[String]) -> Vec<u64> {
-    let mut fingerprint = Vec::new();
-    for sql in seq {
-        let rows = rd.query(sql).expect("query");
-        fingerprint.push(rows.docs.len() as u64);
-        fingerprint.extend(rows.docs.iter().map(|d| d.record_id.raw()));
-    }
-    fingerprint
-}
-
 fn time_pass(rd: &EsdbReader, seq: &[String]) -> u128 {
     let t0 = Instant::now();
-    black_box(run_pass(rd, seq));
+    black_box(row_keys(rd, seq));
     t0.elapsed().as_nanos()
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast" || a == "fast")
-        || std::env::var("QUERY_CACHE_BENCH_FAST").is_ok_and(|v| v == "1");
-    let scale = if fast { FAST } else { FULL };
-    let host_cores = esdb_bench::host_cores();
-    let degraded = esdb_bench::degraded_single_core(fast);
-    let seq = query_sequence(&scale);
+fn main() -> ExitCode {
+    let mut report = Report::from_args("query_cache");
+    let scale = if report.fast() { FAST } else { FULL };
+    let seq = query_sequence(scale.tenants, scale.queries_per_pass);
 
     let mut on = build(&scale, true);
     let mut off = build(&scale, false);
@@ -164,14 +109,14 @@ fn main() {
     // Determinism gate: cache-on must be row-identical to cache-off on
     // the cold pass (both empty) and on warm passes (hits serving).
     let mut determinism_ok = true;
-    let reference = run_pass(&rd_off, &seq);
-    let cold_check = run_pass(&rd_on, &seq);
+    let reference = row_keys(&rd_off, &seq);
+    let cold_check = row_keys(&rd_on, &seq);
     if cold_check != reference {
         eprintln!("DETERMINISM VIOLATION: cold cached pass diverged from uncached");
         determinism_ok = false;
     }
     for pass in 0..2 {
-        if run_pass(&rd_on, &seq) != reference {
+        if row_keys(&rd_on, &seq) != reference {
             eprintln!("DETERMINISM VIOLATION: warm cached pass {pass} diverged from uncached");
             determinism_ok = false;
         }
@@ -222,78 +167,42 @@ fn main() {
     let mut uncached: Vec<u128> = (0..scale.samples)
         .map(|_| time_pass(&rd_off, &seq))
         .collect();
-    let warm_median = esdb_bench::median(&mut warm);
-    let uncached_median = esdb_bench::median(&mut uncached);
+    let warm_median = median(&mut warm);
+    let uncached_median = median(&mut uncached);
     let warm_speedup = uncached_median as f64 / warm_median as f64;
     let cold_vs_warm = cold_ns as f64 / warm_median as f64;
 
     let stats = on.stats();
     println!(
-        "query_cache/{}: cold {:.3} ms, warm median {:.3} ms, uncached median {:.3} ms",
-        scale.mode,
+        "query_cache: cold {:.3} ms, warm median {:.3} ms, uncached median {:.3} ms \
+         (warm speedup {warm_speedup:.2}x, cold vs warm {cold_vs_warm:.2}x)",
         cold_ns as f64 / 1e6,
         warm_median as f64 / 1e6,
         uncached_median as f64 / 1e6,
     );
-    println!(
-        "query_cache/{}: warm speedup vs uncached {:.2}x, cold vs warm {:.2}x",
-        scale.mode, warm_speedup, cold_vs_warm
-    );
-    println!(
-        "query_cache/{}: tier1 hits {} (of which {} post-mutation) misses {} bytes {}, \
-         tier2 hits {} misses {} entries {}",
-        scale.mode,
-        stats.filter_cache.hits,
-        tier1_hits_after_mutation,
-        stats.filter_cache.misses,
-        stats.filter_cache.bytes,
-        stats.request_cache.hits,
-        stats.request_cache.misses,
-        stats.request_cache.entries,
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"query_cache\",\n  \"mode\": \"{}\",\n  \"theta\": {THETA},\n  \
-         \"shards\": {},\n  \"tenants\": {},\n  \"rows\": {},\n  \"queries_per_pass\": {},\n  \
-         \"samples\": {},\n  \"host_cores\": {host_cores},\n  \
-         \"degraded_single_core\": {degraded},\n  \"cold_pass_ns\": {cold_ns},\n  \
-         \"warm_median_ns\": {warm_median},\n  \"uncached_median_ns\": {uncached_median},\n  \
-         \"warm_speedup_vs_uncached\": {warm_speedup:.4},\n  \
-         \"cold_vs_warm_speedup\": {cold_vs_warm:.4},\n  \
-         \"cached_results_identical_to_uncached\": {determinism_ok},\n  \
-         \"tier1_hits_after_mutation\": {tier1_hits_after_mutation},\n  \
-         \"filter_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"bytes\": {}, \"entries\": {}}},\n  \
-         \"request_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"entries\": {}}}\n}}\n",
-        scale.mode,
-        scale.shards,
-        scale.tenants,
-        scale.rows,
-        scale.queries_per_pass,
-        scale.samples,
-        stats.filter_cache.hits,
-        stats.filter_cache.misses,
-        stats.filter_cache.evictions,
-        stats.filter_cache.bytes,
-        stats.filter_cache.entries,
-        stats.request_cache.hits,
-        stats.request_cache.misses,
-        stats.request_cache.evictions,
-        stats.request_cache.entries,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query_cache.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !determinism_ok {
-        eprintln!("query_cache: FAILED determinism gate");
-        std::process::exit(1);
-    }
-    if warm_speedup < 1.0 {
-        eprintln!("query_cache: FAILED warm speedup {warm_speedup:.2}x < 1.0x");
-        std::process::exit(1);
-    }
+    report
+        .field("theta", THETA)
+        .field("shards", scale.shards)
+        .field("tenants", scale.tenants)
+        .field("rows", scale.rows)
+        .field("queries_per_pass", scale.queries_per_pass)
+        .field("samples", scale.samples)
+        .field("cold_pass_ns", cold_ns)
+        .field("warm_median_ns", warm_median)
+        .field("uncached_median_ns", uncached_median)
+        .field("warm_speedup_vs_uncached", warm_speedup)
+        .field("cold_vs_warm_speedup", cold_vs_warm)
+        .field("tier1_hits_after_mutation", tier1_hits_after_mutation)
+        .field("filter_cache_hits", stats.filter_cache.hits)
+        .field("filter_cache_misses", stats.filter_cache.misses)
+        .field("filter_cache_evictions", stats.filter_cache.evictions)
+        .field("filter_cache_bytes", stats.filter_cache.bytes)
+        .field("filter_cache_entries", stats.filter_cache.entries)
+        .field("request_cache_hits", stats.request_cache.hits)
+        .field("request_cache_misses", stats.request_cache.misses)
+        .field("request_cache_evictions", stats.request_cache.evictions)
+        .field("request_cache_entries", stats.request_cache.entries);
+    report.check("cached_results_identical_to_uncached", determinism_ok);
+    report.check("warm_speedup_at_least_1x", warm_speedup >= 1.0);
+    report.finish()
 }

@@ -15,8 +15,7 @@
 //! 4. verifies the determinism gate: churn touches only a noise tenant
 //!    the queries never select, so every pass — quiescent or racing
 //!    merges — must return byte-identical row keys, and
-//! 5. writes `BENCH_snapshot_reads.json` at the repository root with
-//!    contended vs. uncontended p50/p99.
+//! 5. reports contended vs. uncontended p50/p99.
 //!
 //! Exits non-zero if results ever diverge, or if the contended p99
 //! exceeds 1.25x the uncontended p99. The timing gate needs the reader
@@ -25,21 +24,22 @@
 //! the tail measures the OS scheduler's timeslice (the reader loses the
 //! CPU to the merge for whole quanta), not the locking the gate is
 //! about — and CI timing noise at smoke scale swamps the margin either
-//! way. The ratio is always reported and recorded. Before this read
-//! path existed, each forced merge held the shard's engine lock for its
-//! full duration and contended readers stalled behind it outright.
-//! Pass `--fast` (or set `READ_UNDER_MERGE_BENCH_FAST=1`) for the CI
-//! smoke configuration.
+//! way. The ratio is always reported. Before this read path existed,
+//! each forced merge held the shard's engine lock for its full duration
+//! and contended readers stalled behind it outright. Run with
+//! `-- --fast` for the CI smoke scale.
 
 use criterion::black_box;
+use esdb_bench::query_sequence;
+use esdb_bench::report::{percentile, Report};
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig, EsdbReader};
 use esdb_doc::CollectionSchema;
 use esdb_workload::{DocGenerator, WriteEvent};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use rand::SeedableRng;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -54,7 +54,6 @@ const NOISE_TENANT: u64 = 1_000_000;
 const P99_BUDGET: f64 = 1.25;
 
 struct Scale {
-    mode: &'static str,
     shards: u32,
     tenants: usize,
     rows: u64,
@@ -64,7 +63,6 @@ struct Scale {
 }
 
 const FULL: Scale = Scale {
-    mode: "full",
     shards: 4,
     tenants: 20,
     rows: 24_000,
@@ -74,7 +72,6 @@ const FULL: Scale = Scale {
 };
 
 const FAST: Scale = Scale {
-    mode: "fast",
     shards: 2,
     tenants: 10,
     rows: 4_000,
@@ -83,34 +80,10 @@ const FAST: Scale = Scale {
     churn_batch: 250,
 };
 
-/// The template queries a hot tenant repeats (Fig. 17 filter + sort +
-/// top-k shapes).
-fn templates(tenant: u64) -> [String; 3] {
-    [
-        format!(
-            "SELECT * FROM transaction_logs WHERE tenant_id = {tenant} \
-             AND status = 1 ORDER BY created_time DESC LIMIT 50"
-        ),
-        format!(
-            "SELECT * FROM transaction_logs WHERE tenant_id = {tenant} \
-             AND group IN (1, 2, 3) ORDER BY created_time ASC LIMIT 50"
-        ),
-        format!(
-            "SELECT * FROM transaction_logs WHERE tenant_id = {tenant} \
-             AND created_time BETWEEN 1000000 AND 100000000 \
-             ORDER BY created_time DESC LIMIT 50"
-        ),
-    ]
-}
-
 /// Caches off: this bench isolates snapshot pin + execution latency;
 /// cache hits would hide exactly the path under test.
 fn build(scale: &Scale) -> Esdb {
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "esdb-bench-rum-{}-{}",
-        scale.mode,
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("esdb-bench-rum-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = Esdb::open(
         CollectionSchema::transaction_logs(),
@@ -143,19 +116,6 @@ fn build(scale: &Scale) -> Esdb {
     db
 }
 
-/// The Zipf-skewed query sequence: identical for every pass.
-fn query_sequence(scale: &Scale) -> Vec<String> {
-    let zipf = ZipfSampler::new(scale.tenants, THETA);
-    let mut rng = StdRng::seed_from_u64(42);
-    (0..scale.queries_per_pass)
-        .map(|_| {
-            let tenant = 1 + zipf.sample(&mut rng) as u64;
-            let t = templates(tenant);
-            t[rng.random_range(0..t.len())].clone()
-        })
-        .collect()
-}
-
 /// Runs `repeats` passes over the sequence on the lock-free reader,
 /// recording one latency per query execution and the row-key
 /// fingerprint of every pass (all passes must agree).
@@ -176,24 +136,15 @@ fn measure(reader: &EsdbReader, seq: &[String], repeats: usize) -> (Vec<u64>, Ve
     (latencies, fingerprints)
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 fn p50_p99(latencies: &mut [u64]) -> (u64, u64) {
     latencies.sort_unstable();
     (percentile(latencies, 0.50), percentile(latencies, 0.99))
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast" || a == "fast")
-        || std::env::var("READ_UNDER_MERGE_BENCH_FAST").is_ok_and(|v| v == "1");
-    let scale = if fast { FAST } else { FULL };
-    let seq = query_sequence(&scale);
-
-    let cores = esdb_bench::host_cores();
-    let degraded = esdb_bench::degraded_single_core(fast);
+fn main() -> ExitCode {
+    let mut report = Report::from_args("read_under_merge");
+    let scale = if report.fast() { FAST } else { FULL };
+    let seq = query_sequence(scale.tenants, scale.queries_per_pass);
 
     let mut db = build(&scale);
     let rd = db.reader();
@@ -271,61 +222,29 @@ fn main() {
     let p99_ratio = p99_c as f64 / p99_u as f64;
 
     println!(
-        "read_under_merge/{}: uncontended p50 {:.1} us, p99 {:.1} us",
-        scale.mode,
+        "read_under_merge: uncontended p50 {:.1} us p99 {:.1} us, contended p50 {:.1} us \
+         p99 {:.1} us ({p99_ratio:.3}x; {refreshes} refreshes, {merges} forced merges)",
         p50_u as f64 / 1e3,
         p99_u as f64 / 1e3,
-    );
-    println!(
-        "read_under_merge/{}: contended   p50 {:.1} us, p99 {:.1} us \
-         ({refreshes} refreshes, {merges} forced merges during window)",
-        scale.mode,
         p50_c as f64 / 1e3,
         p99_c as f64 / 1e3,
     );
-    let gate_enforced = !fast && cores >= 2;
-    println!(
-        "read_under_merge/{}: contended/uncontended p99 ratio {p99_ratio:.3} \
-         (budget {P99_BUDGET}, gate {}, {cores} cores)",
-        scale.mode,
-        if gate_enforced {
-            "enforced"
-        } else {
-            "report-only"
-        },
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"read_under_merge\",\n  \"mode\": \"{}\",\n  \"theta\": {THETA},\n  \
-         \"shards\": {},\n  \"tenants\": {},\n  \"rows\": {},\n  \
-         \"queries_per_pass\": {},\n  \"repeats\": {},\n  \
-         \"uncontended_p50_ns\": {p50_u},\n  \"uncontended_p99_ns\": {p99_u},\n  \
-         \"contended_p50_ns\": {p50_c},\n  \"contended_p99_ns\": {p99_c},\n  \
-         \"contended_p99_ratio\": {p99_ratio:.4},\n  \"p99_budget\": {P99_BUDGET},\n  \
-         \"available_parallelism\": {cores},\n  \"host_cores\": {cores},\n  \
-         \"degraded_single_core\": {degraded},\n  \"p99_gate_enforced\": {gate_enforced},\n  \
-         \"refreshes_during_contended\": {refreshes},\n  \
-         \"forced_merges_during_contended\": {merges},\n  \
-         \"contended_results_identical_to_quiescent\": {determinism_ok}\n}}\n",
-        scale.mode, scale.shards, scale.tenants, scale.rows, scale.queries_per_pass, scale.repeats,
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_snapshot_reads.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !determinism_ok {
-        eprintln!("read_under_merge: FAILED determinism gate");
-        std::process::exit(1);
-    }
-    if gate_enforced && p99_ratio > P99_BUDGET {
-        eprintln!(
-            "read_under_merge: FAILED contended p99 {p99_ratio:.3}x > {P99_BUDGET}x uncontended"
-        );
-        std::process::exit(1);
-    }
+    report
+        .field("theta", THETA)
+        .field("shards", scale.shards)
+        .field("tenants", scale.tenants)
+        .field("rows", scale.rows)
+        .field("queries_per_pass", scale.queries_per_pass)
+        .field("repeats", scale.repeats)
+        .field("uncontended_p50_ns", p50_u)
+        .field("uncontended_p99_ns", p99_u)
+        .field("contended_p50_ns", p50_c)
+        .field("contended_p99_ns", p99_c)
+        .field("contended_p99_ratio", p99_ratio)
+        .field("p99_budget", P99_BUDGET)
+        .field("refreshes_during_contended", refreshes)
+        .field("forced_merges_during_contended", merges);
+    report.check("contended_results_identical_to_quiescent", determinism_ok);
+    report.timing_gate("contended_p99_within_1_25x", p99_ratio <= P99_BUDGET, 2);
+    report.finish()
 }

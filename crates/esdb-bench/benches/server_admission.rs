@@ -22,14 +22,15 @@
 //!   same-seed reruns produce byte-identical row signatures; the hot
 //!   tenant was actually throttled (429 > 0); per-tenant admission
 //!   conservation `issued == admitted + throttled + shed`.
-//! * **timing (full mode, multi-core hosts)** — victim-tenant p99
-//!   request latency with shedding on must be strictly better than
-//!   with shedding off. Report-only under `--fast` or on degraded
-//!   single-core hosts, per the bench-honesty policy.
+//! * **timing (full mode, >= `CLIENT_THREADS` cores)** — victim-tenant
+//!   p99 request latency with shedding on must be strictly better than
+//!   with shedding off. Below that the client threads serialize and the
+//!   tail measures the scheduler, so the gate is report-only there and
+//!   under `--fast`.
 //!
-//! Pass `--fast` (or set `SERVER_ADMISSION_BENCH_FAST=1`) for the CI
-//! smoke configuration. Writes `BENCH_server.json` at the repo root.
+//! Run with `-- --fast` for the CI smoke scale.
 
+use esdb_bench::report::Report;
 use esdb_common::zipf::ZipfSampler;
 use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig, EsdbReader};
@@ -40,7 +41,7 @@ use esdb_server::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Zipf skew of tenant choice (the paper's regime).
@@ -60,21 +61,18 @@ const HOT_RATE: RateLimit = RateLimit {
 };
 
 struct Scale {
-    mode: &'static str,
     shards: u32,
     tenants: usize,
     ops_per_thread: u64,
 }
 
 const FULL: Scale = Scale {
-    mode: "full",
     shards: 8,
     tenants: 20,
     ops_per_thread: 1_200,
 };
 
 const FAST: Scale = Scale {
-    mode: "fast",
     shards: 4,
     tenants: 10,
     ops_per_thread: 150,
@@ -104,11 +102,7 @@ fn schedules(scale: &Scale) -> Vec<Vec<Document>> {
 }
 
 fn open(scale: &Scale, tag: &str) -> Esdb {
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "esdb-bench-srvadm-{}-{tag}-{}",
-        scale.mode,
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("esdb-bench-srvadm-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     Esdb::open(
         CollectionSchema::transaction_logs(),
@@ -273,108 +267,61 @@ fn oracle_signature(scale: &Scale) -> (u64, u64) {
     row_signature(&db.reader(), scale)
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast" || a == "fast")
-        || std::env::var("SERVER_ADMISSION_BENCH_FAST").is_ok_and(|v| v == "1");
-    let scale = if fast { FAST } else { FULL };
-    let host_cores = esdb_bench::host_cores();
-    let degraded = esdb_bench::degraded_single_core(fast);
+fn main() -> ExitCode {
+    let mut report = Report::from_args("server_admission");
+    let scale = if report.fast() { FAST } else { FULL };
 
     let oracle = oracle_signature(&scale);
     let off = run_pass(&scale, false, "off");
     let on = run_pass(&scale, true, "on");
     let rerun = run_pass(&scale, true, "on-rerun");
-
-    let identity_ok = off.signature == oracle && on.signature == oracle;
-    let determinism_ok = on.signature == rerun.signature;
-    let conservation_ok = off.conserved && on.conserved && rerun.conserved;
-    let throttled_ok = off.hot_throttled > 0 && on.hot_throttled > 0;
     let p99_improved = on.victim_p99_ns < off.victim_p99_ns;
 
     println!(
-        "server_admission/{}: victim p99 off {:.2}ms on {:.2}ms ({}), \
+        "server_admission: victim p99 off {:.2}ms on {:.2}ms, \
          hot throttled off {} on {}, hot shed on {}, rows {}",
-        scale.mode,
         off.victim_p99_ns as f64 / 1e6,
         on.victim_p99_ns as f64 / 1e6,
-        if p99_improved {
-            "improved"
-        } else {
-            "regressed"
-        },
         off.hot_throttled,
         on.hot_throttled,
         on.hot_shed,
         oracle.1,
     );
-
-    // Timing gates need real parallelism to mean anything: enforce on
-    // full runs with enough cores for the client fleet, report-only
-    // elsewhere (same policy as the other benches).
-    let gate_enforced = !fast && host_cores >= CLIENT_THREADS as usize;
-    let json = format!(
-        "{{\n  \"bench\": \"server_admission\",\n  \"mode\": \"{}\",\n  \"theta\": {THETA},\n  \
-         \"shards\": {},\n  \"tenants\": {},\n  \"client_threads\": {CLIENT_THREADS},\n  \
-         \"ops_per_thread\": {},\n  \"hot_tenant\": {HOT_TENANT},\n  \
-         \"hot_rate_per_sec\": {},\n  \"host_cores\": {host_cores},\n  \
-         \"degraded_single_core\": {degraded},\n  \
-         \"wall_ns_shed_off\": {},\n  \"wall_ns_shed_on\": {},\n  \
-         \"victim_p99_ns_shed_off\": {},\n  \"victim_p99_ns_shed_on\": {},\n  \
-         \"victim_samples\": {},\n  \
-         \"hot_throttled_shed_off\": {},\n  \"hot_throttled_shed_on\": {},\n  \
-         \"hot_shed_shed_on\": {},\n  \"rows\": {},\n  \
-         \"p99_gate_enforced\": {gate_enforced},\n  \"p99_improved\": {p99_improved},\n  \
-         \"identity_ok\": {identity_ok},\n  \"determinism_ok\": {determinism_ok},\n  \
-         \"conservation_ok\": {conservation_ok},\n  \"throttled_ok\": {throttled_ok}\n}}\n",
-        scale.mode,
-        scale.shards,
-        scale.tenants,
-        scale.ops_per_thread,
-        HOT_RATE.per_sec,
-        off.wall_ns,
-        on.wall_ns,
-        off.victim_p99_ns,
-        on.victim_p99_ns,
-        on.victim_samples,
-        off.hot_throttled,
-        on.hot_throttled,
-        on.hot_shed,
-        oracle.1,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !identity_ok {
+    report
+        .field("theta", THETA)
+        .field("shards", scale.shards)
+        .field("tenants", scale.tenants)
+        .field("client_threads", CLIENT_THREADS)
+        .field("ops_per_thread", scale.ops_per_thread)
+        .field("hot_tenant", HOT_TENANT)
+        .field("hot_rate_per_sec", HOT_RATE.per_sec)
+        .field("wall_ns_shed_off", off.wall_ns)
+        .field("wall_ns_shed_on", on.wall_ns)
+        .field("victim_p99_ns_shed_off", off.victim_p99_ns)
+        .field("victim_p99_ns_shed_on", on.victim_p99_ns)
+        .field("victim_samples", on.victim_samples)
+        .field("hot_throttled_shed_off", off.hot_throttled)
+        .field("hot_throttled_shed_on", on.hot_throttled)
+        .field("hot_shed_shed_on", on.hot_shed)
+        .field("rows", oracle.1);
+    if !report.check(
+        "rows_identical_to_oracle",
+        off.signature == oracle && on.signature == oracle,
+    ) {
         eprintln!(
-            "server_admission: FAILED identity gate: oracle {:?}, off {:?}, on {:?}",
+            "oracle {:?}, off {:?}, on {:?}",
             oracle, off.signature, on.signature
         );
-        std::process::exit(1);
     }
-    if !determinism_ok {
-        eprintln!(
-            "server_admission: FAILED determinism gate: {:?} != {:?}",
-            on.signature, rerun.signature
-        );
-        std::process::exit(1);
-    }
-    if !conservation_ok || !throttled_ok {
-        eprintln!(
-            "server_admission: FAILED conservation/throttle gate \
-             (conserved {conservation_ok}, throttled {throttled_ok})"
-        );
-        std::process::exit(1);
-    }
-    if gate_enforced && !p99_improved {
-        eprintln!(
-            "server_admission: FAILED victim-p99 gate: shedding on {} ns \
-             >= shedding off {} ns",
-            on.victim_p99_ns, off.victim_p99_ns
-        );
-        std::process::exit(1);
-    }
-    println!("server_admission/{}: all gates passed", scale.mode);
+    report.check("same_seed_same_rows", on.signature == rerun.signature);
+    report.check(
+        "admission_conserved",
+        off.conserved && on.conserved && rerun.conserved,
+    );
+    report.check(
+        "hot_tenant_throttled",
+        off.hot_throttled > 0 && on.hot_throttled > 0,
+    );
+    report.timing_gate("victim_p99_improved", p99_improved, CLIENT_THREADS as usize);
+    report.finish()
 }

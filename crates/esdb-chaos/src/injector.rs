@@ -82,12 +82,6 @@ impl CrashWindowInjector {
         }
     }
 
-    /// Draws the window start uniformly from `[lo, hi)` under `seed`.
-    pub fn seeded(seed: u64, lo: u64, hi: u64, len: u64) -> Self {
-        let span = hi.saturating_sub(lo).max(1);
-        CrashWindowInjector::new(lo + mix(seed) % span, len)
-    }
-
     /// Whether the crash window has fully passed (every append in it was
     /// attempted and failed).
     pub fn window_elapsed(&self) -> bool {
@@ -146,16 +140,6 @@ mod tests {
         // Window tears leave nothing of the frame on disk.
         let inj = CrashWindowInjector::new(0, 1);
         assert_eq!(inj.torn_write_len(64), Some(0));
-    }
-
-    #[test]
-    fn seeded_crash_window_is_deterministic() {
-        let a = CrashWindowInjector::seeded(99, 100, 200, 5);
-        let b = CrashWindowInjector::seeded(99, 100, 200, 5);
-        assert_eq!(a.start, b.start);
-        assert!((100..200).contains(&a.start));
-        let c = CrashWindowInjector::seeded(100, 100, 200, 5);
-        assert_ne!(a.start, c.start, "seed moves the window");
     }
 
     #[test]

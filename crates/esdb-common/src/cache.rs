@@ -183,15 +183,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruShard<K, V> {
             self.remove_node(i);
         }
     }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.weight = 0;
-    }
 }
 
 /// A sharded, weight-budgeted LRU cache.
@@ -283,13 +274,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     pub fn retain(&self, keep: impl Fn(&K) -> bool) {
         for shard in &self.shards {
             shard.lock().retain(&keep);
-        }
-    }
-
-    /// Drops everything (counters are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
         }
     }
 
@@ -395,19 +379,6 @@ mod tests {
         for k in 0..20u64 {
             assert_eq!(c.get(&k).is_some(), k % 2 == 0, "key {k}");
         }
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let c = small();
-        c.insert(1, 1, 1);
-        assert_eq!(c.get(&1), Some(1));
-        c.clear();
-        assert_eq!(c.get(&1), None);
-        let s = c.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
     }
 
     #[test]

@@ -49,13 +49,6 @@ impl ManualClock {
     pub fn advance(&self, delta_ms: u64) -> TimestampMs {
         self.now_ms.fetch_add(delta_ms, Ordering::SeqCst) + delta_ms
     }
-
-    /// Sets the clock to an absolute time. Panics if this would move the
-    /// clock backwards — simulated time is monotone.
-    pub fn set(&self, t: TimestampMs) {
-        let prev = self.now_ms.swap(t, Ordering::SeqCst);
-        assert!(prev <= t, "ManualClock moved backwards: {prev} -> {t}");
-    }
 }
 
 impl Clock for ManualClock {
@@ -108,15 +101,6 @@ mod tests {
         assert_eq!(c.now(), 100);
         assert_eq!(c.advance(50), 150);
         assert_eq!(c.now(), 150);
-        c.set(200);
-        assert_eq!(c.now(), 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "moved backwards")]
-    fn manual_clock_rejects_regression() {
-        let c = ManualClock::new(100);
-        c.set(50);
     }
 
     #[test]

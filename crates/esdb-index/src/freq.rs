@@ -53,22 +53,6 @@ impl AttrFrequencyTracker {
         }
         out
     }
-
-    /// Fraction of total occurrences covered by the top-k set (the paper
-    /// reports top-30 covering ~50%).
-    pub fn coverage(&self, k: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let top = self.top_k(k);
-        let covered: u64 = self
-            .counts
-            .iter()
-            .filter(|(n, _)| top.contains(*n))
-            .map(|(_, c)| *c)
-            .sum();
-        covered as f64 / self.total as f64
-    }
 }
 
 #[cfg(test)]
@@ -90,20 +74,6 @@ mod tests {
         assert!(!top2.contains("material"));
         assert_eq!(t.counts.len(), 3);
         assert_eq!(t.total, 16);
-    }
-
-    #[test]
-    fn coverage_fraction() {
-        let mut t = AttrFrequencyTracker::new();
-        for _ in 0..50 {
-            t.record("a");
-        }
-        for _ in 0..50 {
-            t.record("b");
-        }
-        assert!((t.coverage(1) - 0.5).abs() < 1e-12);
-        assert!((t.coverage(2) - 1.0).abs() < 1e-12);
-        assert_eq!(AttrFrequencyTracker::new().coverage(5), 0.0);
     }
 
     #[test]
@@ -129,7 +99,15 @@ mod tests {
             let rank = z.sample(&mut rng);
             t.record(&format!("attr_{rank}"));
         }
-        let cov = t.coverage(30);
+        // Share of all occurrences the top-30 set covers.
+        let top = t.top_k(30);
+        let covered: u64 = t
+            .counts
+            .iter()
+            .filter(|(n, _)| top.contains(*n))
+            .map(|(_, c)| *c)
+            .sum();
+        let cov = covered as f64 / t.total as f64;
         assert!(cov > 0.4 && cov < 0.7, "top-30 coverage {cov}");
     }
 }

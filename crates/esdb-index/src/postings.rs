@@ -21,9 +21,8 @@ pub(crate) const BLOCK_SIZE: usize = 128;
 
 /// Work counters for block-wise set operations: how many blocks had their
 /// elements examined (`scanned`), were jumped over via skip data without
-/// touching any element (`skipped`), or were resolved wholesale by a
-/// min/max disjointness test — dropped in an intersection, copied verbatim
-/// in a difference (`pruned`).
+/// touching any element (`skipped`), or were dropped wholesale from an
+/// intersection by a min/max disjointness test (`pruned`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
     /// Blocks whose elements were individually examined.
@@ -176,15 +175,6 @@ impl PostingList {
         self.ids.iter().copied()
     }
 
-    /// Whether `id` is present (skip probe, then binary search in-block).
-    pub fn contains(&self, id: DocId) -> bool {
-        let b = self.skip.partition_point(|&m| m < id);
-        if b >= self.skip.len() {
-            return false;
-        }
-        self.block(b).ids.binary_search(&id).is_ok()
-    }
-
     /// Intersection. See `PostingList::intersect_stats`.
     pub fn intersect(&self, other: &PostingList) -> PostingList {
         self.intersect_stats(other, &mut BlockStats::default())
@@ -311,51 +301,6 @@ impl PostingList {
         PostingList::from_sorted_vec(out)
     }
 
-    /// `self \ other`. See [`PostingList::difference_stats`].
-    pub fn difference(&self, other: &PostingList) -> PostingList {
-        self.difference_stats(other, &mut BlockStats::default())
-    }
-
-    /// Block-at-a-time `self \ other`: blocks of `self` with no overlap in
-    /// `other` (detected via skip data) are copied wholesale; only
-    /// overlapping blocks pay per-element comparisons.
-    pub fn difference_stats(&self, other: &PostingList, stats: &mut BlockStats) -> PostingList {
-        if other.is_empty() {
-            return self.clone();
-        }
-        let mut out = Vec::with_capacity(self.len());
-        let olen = other.ids.len();
-        let mut j = 0usize; // cursor into other.ids
-        for sb in 0..self.num_blocks() {
-            let blk = self.block(sb);
-            let (smin, smax) = (blk.min(), blk.max());
-            if j < olen {
-                let jb = j / BLOCK_SIZE;
-                if other.skip[jb] < smin {
-                    let njb = jb + other.skip[jb..].partition_point(|&m| m < smin);
-                    stats.skipped += (njb - jb) as u64;
-                    j = njb * BLOCK_SIZE;
-                }
-            }
-            if j >= olen || other.ids[j] > smax {
-                // No subtrahend in this block's window: copy it verbatim.
-                stats.pruned += 1;
-                out.extend_from_slice(blk.ids());
-                continue;
-            }
-            stats.scanned += 1;
-            for &id in blk.ids() {
-                while j < olen && other.ids[j] < id {
-                    j += 1;
-                }
-                if j >= olen || other.ids[j] != id {
-                    out.push(id);
-                }
-            }
-        }
-        PostingList::from_sorted_vec(out)
-    }
-
     /// K-way intersection, smallest lists first (the optimizer's ordering).
     pub fn intersect_many(lists: &[&PostingList]) -> PostingList {
         Self::intersect_many_stats(lists, &mut BlockStats::default())
@@ -468,8 +413,6 @@ mod tests {
         let b = pl(&[2, 3, 4, 5]);
         assert_eq!(a.intersect(&b), pl(&[2, 3, 4]));
         assert_eq!(a.union(&b), pl(&[1, 2, 3, 4, 5]));
-        assert_eq!(a.difference(&b), pl(&[1]));
-        assert_eq!(b.difference(&a), pl(&[5]));
     }
 
     #[test]
@@ -517,15 +460,6 @@ mod tests {
         assert_eq!(e.union(&a), a);
         assert!(PostingList::intersect_many(&[]).is_empty());
         assert!(PostingList::union_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn contains_binary_search() {
-        let a = pl(&[10, 20, 30]);
-        assert!(a.contains(20));
-        assert!(!a.contains(25));
-        assert!(!a.contains(5));
-        assert!(!a.contains(31));
     }
 
     #[test]
@@ -585,18 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn difference_copies_disjoint_blocks_wholesale() {
-        let a = PostingList::from_sorted((0..1_000).collect());
-        let b = pl(&[500]);
-        let mut stats = BlockStats::default();
-        let got = a.difference_stats(&b, &mut stats);
-        assert_eq!(got.len(), 999);
-        assert!(!got.contains(500));
-        assert!(stats.pruned >= 6, "pruned {}", stats.pruned);
-        assert!(stats.scanned <= 2);
-    }
-
-    #[test]
     fn union_many_high_fan_in() {
         // 16-way union with interleaved ids exercises the heap path.
         let lists: Vec<PostingList> = (0..16u32)
@@ -645,15 +567,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_difference_matches_sets(a in arb_ids(), b in arb_ids()) {
-            let sa: BTreeSet<u32> = a.iter().copied().collect();
-            let sb: BTreeSet<u32> = b.iter().copied().collect();
-            let expect: Vec<u32> = sa.difference(&sb).copied().collect();
-            let got = pl(&a).difference(&pl(&b));
-            prop_assert_eq!(got.ids(), expect.as_slice());
-        }
-
-        #[test]
         fn prop_many_way_ops(lists in proptest::collection::vec(arb_ids(), 1..6)) {
             let pls: Vec<PostingList> = lists.iter().map(|l| pl(l)).collect();
             let refs: Vec<&PostingList> = pls.iter().collect();
@@ -680,10 +593,6 @@ mod tests {
                 prop_assert_eq!(p.block(b).ids(), blk.ids());
             }
             prop_assert_eq!(p.num_blocks(), p.len().div_ceil(BLOCK_SIZE));
-            // contains() via skip probe agrees with membership.
-            for id in [0u32, 1, 250, 499, 500] {
-                prop_assert_eq!(p.contains(id), a.contains(&id));
-            }
         }
 
         #[test]

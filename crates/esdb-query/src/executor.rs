@@ -240,6 +240,14 @@ fn match_terms(
 /// Exact scan evaluation of `pred` over `input`, via doc values when the
 /// column has them and stored fields otherwise.
 fn scan_predicate(pred: &Expr, seg: &Segment, input: &PostingList, work: &mut Work) -> PostingList {
+    // Frequency-based index when this segment has it (§3.2): a list
+    // read charged to postings, not a scan of the input's documents.
+    if let Expr::AttrEq(name, value) = pred {
+        if let Some(list) = seg.attr_docs(name, value) {
+            work.postings += list.len() as u64;
+            return list.intersect(input);
+        }
+    }
     work.docs += input.len() as u64;
     match pred {
         Expr::Eq(col, v) if seg.has_doc_values(col) => {
@@ -255,20 +263,13 @@ fn scan_predicate(pred: &Expr, seg: &Segment, input: &PostingList, work: &mut Wo
             let Some(x) = x else { return false };
             bound_ok(x, lo, true) && bound_ok(x, hi, false)
         }),
-        Expr::AttrEq(name, value) => {
-            // Frequency-based index when this segment has it (§3.2),
-            // bounded stored-attr scan of the input otherwise.
-            if let Some(list) = seg.attr_docs(name, value) {
-                list.intersect(input)
-            } else {
-                PostingList::from_sorted(
-                    input
-                        .iter()
-                        .filter(|&d| seg.doc(d).is_some_and(|doc| doc.attr(name) == Some(value)))
-                        .collect(),
-                )
-            }
-        }
+        // Not frequency-indexed in this segment: stored-attr scan.
+        Expr::AttrEq(name, value) => PostingList::from_sorted(
+            input
+                .iter()
+                .filter(|&d| seg.doc(d).is_some_and(|doc| doc.attr(name) == Some(value)))
+                .collect(),
+        ),
         // Stored-field fallback (undeclared columns, Match on unindexed
         // fields, nested booleans).
         other => PostingList::from_sorted(
@@ -1399,6 +1400,25 @@ mod tests {
         );
         assert_eq!(rows.docs.len(), 50);
         assert!(rows.docs_scanned > 0, "fallback scanned stored docs");
+    }
+
+    #[test]
+    fn attr_residual_served_by_index_scans_no_docs() {
+        // Tenant 1 owns 50 docs. "activity" is frequency-indexed, so the
+        // residual is a list read; "size" is not, so it scans all 50.
+        let indexed = run(
+            "SELECT * FROM transaction_logs WHERE tenant_id = 1 AND ATTR('activity') = '1111'",
+            true,
+        );
+        assert_eq!(indexed.docs.len(), 50);
+        assert_eq!(indexed.docs_scanned, 0);
+        let fallback = run(
+            "SELECT * FROM transaction_logs WHERE tenant_id = 1 AND ATTR('size') = 'XL'",
+            true,
+        );
+        assert_eq!(fallback.docs.len(), 50);
+        assert_eq!(fallback.docs_scanned, 50);
+        assert!(indexed.postings_scanned > fallback.postings_scanned);
     }
 
     #[test]

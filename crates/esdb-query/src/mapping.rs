@@ -29,14 +29,6 @@ pub(crate) fn render_value(v: &FieldValue) -> Option<String> {
     }
 }
 
-/// `IFNULL(value, fallback)` — SQL's null-coalescing builtin.
-pub fn ifnull(v: Option<&FieldValue>, fallback: &FieldValue) -> FieldValue {
-    match v {
-        None | Some(FieldValue::Null) => fallback.clone(),
-        Some(other) => other.clone(),
-    }
-}
-
 /// `DATE_FORMAT(ts, pattern)` with the MySQL specifiers the transaction-log
 /// tooling uses: `%Y %m %d %H %i %s`.
 pub fn date_format(ts_ms: u64, pattern: &str) -> String {
@@ -134,14 +126,6 @@ mod tests {
         assert_eq!(row.cells.len(), 2);
         assert_eq!(row.cells[0], ("title".into(), Some("rust book".into())));
         assert_eq!(row.cells[1], ("missing".into(), None));
-    }
-
-    #[test]
-    fn ifnull_semantics() {
-        let fb = FieldValue::Int(0);
-        assert_eq!(ifnull(None, &fb), FieldValue::Int(0));
-        assert_eq!(ifnull(Some(&FieldValue::Null), &fb), FieldValue::Int(0));
-        assert_eq!(ifnull(Some(&FieldValue::Int(5)), &fb), FieldValue::Int(5));
     }
 
     #[test]

@@ -5,8 +5,7 @@ use esdb_common::fastmap::{fast_map, FastMap};
 use esdb_common::{Clock, Result, SharedClock, TimestampMs};
 use esdb_doc::{CollectionSchema, WriteOp};
 use esdb_index::{Segment, SegmentId};
-use esdb_storage::{ShardConfig, ShardEngine, ShardSnapshot};
-use esdb_telemetry::{EventKind, Journal, Labels, NO_PARENT};
+use esdb_storage::{ShardConfig, ShardEngine};
 use std::sync::Arc;
 
 /// Which replication scheme the pair runs.
@@ -66,9 +65,6 @@ pub struct ReplicatedPair {
     locked: Vec<SegmentId>,
     next_snapshot_id: u64,
     metrics: ReplicationMetrics,
-    /// Flight-recorder journal plus the `(shard, primary node)` identity
-    /// this pair's promotion events report; `None` journals nothing.
-    journal: Option<(Arc<Journal>, u32, u32)>,
 }
 
 impl ReplicatedPair {
@@ -100,17 +96,7 @@ impl ReplicatedPair {
             locked: Vec::new(),
             next_snapshot_id: 1,
             metrics: ReplicationMetrics::default(),
-            journal: None,
         })
-    }
-
-    /// Attaches the flight-recorder journal: replica promotions emit a
-    /// causally-chained `promotion_started` → `translog_replayed` →
-    /// `promotion_completed` sequence labeled with this pair's `shard`
-    /// and the `primary_node` a promotion takes over from.
-    pub fn with_journal(mut self, journal: Arc<Journal>, shard: u32, primary_node: u32) -> Self {
-        self.journal = Some((journal, shard, primary_node));
-        self
     }
 
     /// Applies a write on the primary and forwards per the mode. The
@@ -256,32 +242,6 @@ impl ReplicatedPair {
         &mut self.primary
     }
 
-    /// Pins a point-in-time view served by the *survivor* when the
-    /// primary is unavailable (degraded reads, §5.2): under logical
-    /// replication this is the replica engine's published snapshot;
-    /// under physical replication the installed segment copies are
-    /// frozen into a snapshot directly. Either way the returned view is
-    /// immutable — queries against it run lock-free and keep answering
-    /// identically even as replication later installs or retires
-    /// segments.
-    pub fn degraded_read_snapshot(&self) -> Arc<ShardSnapshot> {
-        match self.mode {
-            ReplicationMode::Logical => self
-                .replica_engine
-                .as_ref()
-                .expect("logical mode has a replica engine")
-                .pin_snapshot(),
-            ReplicationMode::Physical { .. } => {
-                let mut segs: Vec<Arc<Segment>> =
-                    self.replica_segments.values().map(Arc::clone).collect();
-                segs.sort_unstable_by_key(|s| s.id);
-                // Snapshot ids advance with every replication pass, so
-                // successive degraded views carry monotone generations.
-                Arc::new(ShardSnapshot::from_segments(segs, self.next_snapshot_id))
-            }
-        }
-    }
-
     /// Live docs visible on the replica.
     pub fn replica_live_docs(&self) -> usize {
         match self.mode {
@@ -307,40 +267,12 @@ impl ReplicatedPair {
     /// fresh engine (what a primary/replica switch does with the synced
     /// translog, §5.2 "all replicas are able to recover the data locally").
     pub fn promote_replica(&self, dir: impl Into<std::path::PathBuf>) -> Result<ShardEngine> {
-        let t0 = self.clock.now();
-        let ops = self.replica_translog.len() as u64;
-        let start_seq = self.journal.as_ref().map(|(j, shard, node)| {
-            j.emit(
-                EventKind::PromotionStarted {
-                    shard: *shard,
-                    crashed_node: *node,
-                },
-                Labels::shard(*shard),
-                NO_PARENT,
-            )
-        });
         let mut engine =
             ShardEngine::open(self.primary.schema().clone(), ShardConfig::new(dir.into()))?;
         for op in &self.replica_translog {
             engine.apply(op)?;
         }
         engine.refresh();
-        if let (Some((j, shard, _)), Some(start_seq)) = (&self.journal, start_seq) {
-            let replay_seq = j.emit(
-                EventKind::TranslogReplayed { shard: *shard, ops },
-                Labels::shard(*shard),
-                start_seq,
-            );
-            j.emit(
-                EventKind::PromotionCompleted {
-                    shard: *shard,
-                    replayed_ops: ops,
-                    latency_ms: self.clock.now().saturating_sub(t0),
-                },
-                Labels::shard(*shard),
-                replay_seq,
-            );
-        }
         Ok(engine)
     }
 }
@@ -531,105 +463,6 @@ mod tests {
             "promotion replays the synced translog"
         );
         assert!(promoted.get_record(14).is_some());
-    }
-
-    #[test]
-    fn promotion_journals_causally_chained_events() {
-        let journal = Arc::new(Journal::new(128));
-        let mut p = pair(
-            "promote-journal",
-            ReplicationMode::Physical {
-                pre_replicate_merges: true,
-            },
-        )
-        .with_journal(Arc::clone(&journal), 3, 1);
-        for r in 0..9 {
-            p.write(&doc(r)).unwrap();
-        }
-        let promoted = p.promote_replica(tmpdir("promoted-journal")).unwrap();
-        assert_eq!(promoted.stats().live_docs, 9);
-
-        let events = journal.tail(16);
-        let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "promotion_started",
-                "translog_replayed",
-                "promotion_completed"
-            ]
-        );
-        // Each link in the chain parents the next.
-        assert_eq!(events[0].parent_seq, NO_PARENT);
-        assert_eq!(events[1].parent_seq, events[0].seq);
-        assert_eq!(events[2].parent_seq, events[1].seq);
-        match events[1].kind {
-            EventKind::TranslogReplayed { shard, ops } => {
-                assert_eq!(shard, 3);
-                assert_eq!(ops, 9);
-            }
-            ref other => panic!("expected translog_replayed, got {other:?}"),
-        }
-        match events[2].kind {
-            EventKind::PromotionCompleted {
-                shard,
-                replayed_ops,
-                ..
-            } => {
-                assert_eq!(shard, 3);
-                assert_eq!(replayed_ops, 9);
-            }
-            ref other => panic!("expected promotion_completed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn degraded_reads_pin_survivor_snapshot() {
-        let mut p = pair(
-            "degraded",
-            ReplicationMode::Physical {
-                pre_replicate_merges: false,
-            },
-        );
-        for batch in 0..4 {
-            for r in 0..10 {
-                p.write(&doc(batch * 10 + r)).unwrap();
-            }
-            p.refresh().unwrap();
-        }
-        let degraded = p.degraded_read_snapshot();
-        assert_eq!(degraded.live_docs(), 40);
-        assert!(degraded.get_record(17).is_some());
-        // The pinned view must survive the primary merging away its
-        // segments and the next replication pass retiring the replica's
-        // copies.
-        let live: Vec<SegmentId> = p.primary().segments().iter().map(|s| s.id).collect();
-        p.primary_mut().force_merge(&live);
-        p.refresh().unwrap();
-        assert_eq!(
-            replica_segment_ids(&p).len(),
-            1,
-            "replica converged to the merged segment"
-        );
-        assert_eq!(degraded.live_docs(), 40);
-        assert_eq!(
-            degraded.segments().len(),
-            4,
-            "pinned view keeps its original segments"
-        );
-        assert!(degraded.get_record(17).is_some());
-        // A fresh pin sees the converged state.
-        assert_eq!(p.degraded_read_snapshot().segments().len(), 1);
-
-        // Logical mode: the survivor is the replica engine's snapshot.
-        let mut lp = pair("degraded-logical", ReplicationMode::Logical);
-        for r in 0..10 {
-            lp.write(&doc(r)).unwrap();
-        }
-        lp.refresh().unwrap();
-        let view = lp.degraded_read_snapshot();
-        assert_eq!(view.live_docs(), 10);
-        assert!(view.get_record(3).is_some());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! memory goes with it. There is no epoch list to scan and no grace
 //! period — lifetime is exact.
 
-use esdb_common::fastmap::{fast_set, FastSet};
+use esdb_common::fastmap::FastSet;
 use esdb_doc::Document;
 use esdb_index::snapshot::SnapshotView;
 use esdb_index::Segment;
@@ -49,26 +49,6 @@ impl ShardSnapshot {
             segments: segments.to_vec().into(),
             search_generation,
             indexed_attrs,
-        }
-    }
-
-    /// Builds a view over an explicit segment set — e.g. a replica's
-    /// installed segment copies serving degraded reads while the
-    /// primary is unavailable. `search_generation` should be monotone
-    /// across successive views of the same source so generation-keyed
-    /// caches never alias distinct states.
-    pub fn from_segments(segments: Vec<Arc<Segment>>, search_generation: u64) -> Self {
-        let mut indexed_attrs = fast_set();
-        for seg in &segments {
-            for a in seg.indexed_attrs() {
-                indexed_attrs.insert(a.clone());
-            }
-        }
-        ShardSnapshot {
-            live_docs: segments.iter().map(|s| s.live_count()).sum(),
-            segments: segments.into(),
-            search_generation,
-            indexed_attrs: Arc::new(indexed_attrs),
         }
     }
 

@@ -108,18 +108,6 @@ impl TraceGenerator {
         TenantId(self.rank_to_tenant[rank - 1] + self.tenant_offset)
     }
 
-    /// Remaps ranks to tenants with a fresh shuffle — "changing the mapping
-    /// between the tenant IDs and Zipf sampling results" (Fig. 14): new
-    /// tenants become the hot ones.
-    pub fn remap_hotspots(&mut self, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Fisher–Yates.
-        for i in (1..self.rank_to_tenant.len()).rev() {
-            let j = rng.random_range(0..=i);
-            self.rank_to_tenant.swap(i, j);
-        }
-    }
-
     /// Generates the writes for the tick `[now, now + dt_ms)`, with
     /// creation times uniformly spread over the tick.
     pub fn tick(&mut self, now: TimestampMs, dt_ms: u64) -> Vec<WriteEvent> {
@@ -205,20 +193,6 @@ mod tests {
             top_count > 0.07 && top_count < 0.14,
             "top share {top_count}"
         );
-    }
-
-    #[test]
-    fn remap_moves_hotspots() {
-        let mut g = TraceGenerator::new(10_000, 1.0, RateSchedule::constant(50_000.0), 5);
-        let before = g.tenant_of_rank(1);
-        g.remap_hotspots(99);
-        let after = g.tenant_of_rank(1);
-        assert_ne!(before, after, "rank-1 tenant should change (10k tenants)");
-        // Stream still works and favors the new hotspot.
-        let events = g.tick(0, 1_000);
-        let hot = events.iter().filter(|e| e.tenant == after).count();
-        let old = events.iter().filter(|e| e.tenant == before).count();
-        assert!(hot > old, "new hotspot {hot} vs old {old}");
     }
 
     #[test]
