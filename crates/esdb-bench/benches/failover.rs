@@ -202,7 +202,7 @@ fn run_scenario(mut report: Report) -> Scenario {
     let snap = cluster.telemetry_snapshot();
     let prometheus = snap.to_prometheus();
     let bundle = cluster.debug_bundle();
-    let bundle_json = bundle.to_json();
+    let bundle_json = bundle.to_json().to_text();
     let run = cluster.finish();
     let completed: u64 = run.ticks.iter().map(|t| t.completed).sum();
 

@@ -236,7 +236,7 @@ fn sim_bundle_json(seed: u64) -> String {
         cluster.step(Vec::new());
         drain += 1;
     }
-    cluster.debug_bundle().to_json()
+    cluster.debug_bundle().to_json().to_text()
 }
 
 fn main() -> ExitCode {
@@ -316,7 +316,7 @@ fn main() -> ExitCode {
     }
     let prom_counts = prometheus_histogram_counts(&prom);
     let round_trip_ok =
-        !prom_counts.is_empty() && prom_counts == json_histogram_counts(&snap.to_json());
+        !prom_counts.is_empty() && prom_counts == json_histogram_counts(&snap.to_json().to_text());
 
     // Recorder gates: every slow-query entry carries its span tree (the
     // gate is vacuous when nothing crossed the threshold, so the count

@@ -12,7 +12,7 @@ use esdb_common::exec::available_parallelism;
 use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig, EsdbReader, RoutingMode};
 use esdb_doc::CollectionSchema;
-use esdb_server::json::Json;
+use esdb_telemetry::json::Json;
 use esdb_workload::{DocGenerator, WriteEvent};
 use std::process::ExitCode;
 use std::time::Instant;

@@ -16,7 +16,7 @@
 //!   measurement needs to run side by side, the number measures the
 //!   scheduler, so the gate is reported but does not fail the run.
 
-use esdb_server::json::Json;
+use esdb_telemetry::json::Json;
 use std::process::ExitCode;
 
 /// Fields and gates of one gate-bench run.

@@ -7,7 +7,10 @@ use esdb_chaos::{ChaosEvent, ChaosSchedule, FailoverController};
 use esdb_common::fastmap::{fast_map, FastMap};
 use esdb_common::{Clock, ManualClock, NodeId, ShardId, SharedClock, TenantId, TimestampMs};
 use esdb_consensus::{ConsensusConfig, FaultPlan, Master, Participant, RoundOutcome, RuleBody};
-use esdb_routing::{DoubleHashRouting, DynamicRouting, HashRouting, RoutingPolicy, ShardSpan};
+use esdb_routing::{
+    rules_json, DoubleHashRouting, DynamicRouting, HashRouting, RoutingPolicy, ShardSpan,
+};
+use esdb_telemetry::json::Json;
 use esdb_telemetry::{
     Counter, DebugBundle, EventKind, Histogram, Labels, Telemetry, TelemetryConfig,
     TelemetrySnapshot, NO_PARENT,
@@ -855,45 +858,21 @@ impl SimCluster {
     /// payloads are simulation-time based, so same-seed runs render
     /// byte-identical bundles.
     pub fn debug_bundle(&self) -> DebugBundle {
-        let mut bundle = DebugBundle::from_telemetry(&self.telemetry, 512);
+        let mut bundle =
+            DebugBundle::from_telemetry(&self.telemetry, self.telemetry.snapshot(), 512);
         let c = &self.cfg;
-        bundle.config = vec![
-            ("n_nodes".to_string(), c.n_nodes.to_string()),
-            ("n_shards".to_string(), c.n_shards.to_string()),
-            ("tick_ms".to_string(), c.tick_ms.to_string()),
-            (
-                "node_capacity_per_sec".to_string(),
-                c.node_capacity_per_sec.to_string(),
-            ),
-            (
-                "monitor_period_ms".to_string(),
-                c.monitor_period_ms.to_string(),
-            ),
-            ("consensus_t_ms".to_string(), c.consensus_t_ms.to_string()),
-            (
-                "flush_interval_ms".to_string(),
-                c.failover.flush_interval_ms.to_string(),
-            ),
-        ];
-        bundle.rules = {
-            let rules = self.participants[0].rules();
-            let rules = rules.read();
-            let mut out = String::from("[");
-            for (i, r) in rules.rules().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let tenants: Vec<String> = r.tenants.iter().map(|t| t.0.to_string()).collect();
-                out.push_str(&format!(
-                    "{{\"effective_time\": {}, \"offset\": {}, \"tenants\": [{}]}}",
-                    r.effective_time,
-                    r.offset,
-                    tenants.join(", ")
-                ));
-            }
-            out.push(']');
-            out
-        };
+        bundle.config = [
+            ("n_nodes", c.n_nodes.into()),
+            ("n_shards", c.n_shards.into()),
+            ("tick_ms", c.tick_ms.into()),
+            ("node_capacity_per_sec", c.node_capacity_per_sec.into()),
+            ("monitor_period_ms", c.monitor_period_ms.into()),
+            ("consensus_t_ms", c.consensus_t_ms.into()),
+            ("flush_interval_ms", c.failover.flush_interval_ms.into()),
+        ]
+        .map(|(k, v): (&str, Json)| (k.to_string(), v))
+        .into();
+        bundle.rules = rules_json(self.participants[0].rules().read().rules());
         bundle
     }
 

@@ -607,6 +607,7 @@ mod tests {
     use crate::{Esdb, EsdbConfig, EsdbWriter};
     use esdb_common::SharedClock;
     use esdb_doc::CollectionSchema;
+    use esdb_telemetry::json::Json;
 
     /// Loads the skewed corpus the migration tests use — 9 of 10 rows
     /// on tenant 777, distinct pre-rule creation times — into each
@@ -751,7 +752,14 @@ mod tests {
         assert!(errors.is_empty(), "prometheus lint errors: {errors:?}");
         // The debug bundle renders the terminal migration state.
         let bundle = db.debug_bundle().to_json();
-        assert!(bundle.contains("\"phase\": \"done\""), "bundle: {bundle}");
+        let phases: Vec<_> = bundle
+            .get("migrations")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|m| m.get("phase").and_then(Json::as_str))
+            .collect();
+        assert_eq!(phases, [Some("done")], "bundle: {}", bundle.to_text());
     }
 
     #[test]
@@ -1035,7 +1043,7 @@ mod tests {
         // lost: every one answers a point read, and the span query
         // returns each of them. It returns the adopted ones twice until
         // the completion lands — their source copies are not tombstoned
-        // yet (ROADMAP item 5) — so this compares distinct rows.
+        // yet (ROADMAP item 3(c)) — so this compares distinct rows.
         w.insert(doc(5, 9_000, 999_000)).unwrap();
         db.refresh();
         for d in &expected {

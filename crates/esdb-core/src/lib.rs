@@ -48,9 +48,7 @@ mod write;
 pub use batcher::WriteBatcher;
 pub use config::{EsdbConfig, RoutingMode};
 pub use db::Esdb;
-pub use migrate::{
-    statuses_to_json as migration_statuses_to_json, MigrationPhase, MigrationStatus,
-};
+pub use migrate::{MigrationPhase, MigrationStatus};
 pub use read::EsdbReader;
 pub use stats::EsdbStats;
 pub use write::{BatchApplied, EsdbWriter};

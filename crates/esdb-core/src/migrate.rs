@@ -41,6 +41,7 @@
 use esdb_common::{EsdbError, Result, TenantId, TimestampMs};
 use esdb_doc::WriteOp;
 use esdb_replication::HandoffPlan;
+use esdb_telemetry::json::{obj, Json};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -108,37 +109,21 @@ pub struct MigrationStatus {
 }
 
 impl MigrationStatus {
-    /// Renders one status as a JSON object.
-    pub(crate) fn to_json(&self) -> String {
-        format!(
-            "{{\"tenant\": {}, \"old_span\": {}, \"new_span\": {}, \"effective_time\": {}, \
-             \"phase\": \"{}\", \"rows_moved\": {}, \"bytes_shipped\": {}, \
-             \"segments_shipped\": {}, \"tail_ops\": {}}}",
-            self.tenant.0,
-            self.old_span,
-            self.new_span,
-            self.effective_time,
-            self.phase.as_str(),
-            self.rows_moved,
-            self.bytes_shipped,
-            self.segments_shipped,
-            self.tail_ops
-        )
+    /// One status as a JSON object (`/admin/migrations` and the debug
+    /// bundle render a list of these).
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("tenant", self.tenant.0.into()),
+            ("old_span", self.old_span.into()),
+            ("new_span", self.new_span.into()),
+            ("effective_time", self.effective_time.into()),
+            ("phase", self.phase.as_str().into()),
+            ("rows_moved", self.rows_moved.into()),
+            ("bytes_shipped", self.bytes_shipped.into()),
+            ("segments_shipped", self.segments_shipped.into()),
+            ("tail_ops", self.tail_ops.into()),
+        ])
     }
-}
-
-/// Renders a status list as a JSON array (the `/admin/migrations` and
-/// debug-bundle fragment).
-pub fn statuses_to_json(statuses: &[MigrationStatus]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in statuses.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&s.to_json());
-    }
-    out.push(']');
-    out
 }
 
 /// One live migration's coordinator state. Fields are crate-visible:
@@ -570,10 +555,13 @@ mod tests {
             tail_ops: 2,
         };
         assert_eq!(
-            statuses_to_json(&[s]),
-            "[{\"tenant\": 7, \"old_span\": 1, \"new_span\": 4, \"effective_time\": 1000, \
-             \"phase\": \"draining\", \"rows_moved\": 12, \"bytes_shipped\": 3400, \
-             \"segments_shipped\": 3, \"tail_ops\": 2}]"
+            s.to_json(),
+            esdb_telemetry::json::parse(
+                r#"{"tenant": 7, "old_span": 1, "new_span": 4, "effective_time": 1000,
+                    "phase": "draining", "rows_moved": 12, "bytes_shipped": 3400,
+                    "segments_shipped": 3, "tail_ops": 2}"#
+            )
+            .unwrap()
         );
     }
 }

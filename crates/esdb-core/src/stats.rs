@@ -3,11 +3,11 @@
 //! telemetry snapshot and the debug bundle.
 
 use crate::db::Esdb;
-use crate::migrate::statuses_to_json;
+use crate::migrate::MigrationStatus;
 use esdb_common::{CacheStats, RejectedCounts};
-use esdb_telemetry::{
-    json_escape, Counter, DebugBundle, Histogram, Labels, MetricsRegistry, TelemetrySnapshot,
-};
+use esdb_routing::rules_json;
+use esdb_telemetry::json::Json;
+use esdb_telemetry::{Counter, DebugBundle, Histogram, Labels, MetricsRegistry, TelemetrySnapshot};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -156,77 +156,38 @@ impl Esdb {
         s
     }
 
-    /// One-call postmortem artifact: serializes the refreshed metrics
-    /// snapshot, the journal tail, both slow-path logs, the engine
-    /// configuration, and the committed rule list into a single JSON
-    /// document (`bundle.to_json()`).
+    /// One-call postmortem artifact: the refreshed metrics snapshot,
+    /// the journal tail, both slow-path logs, the engine configuration,
+    /// the committed rule list and the migration states, rendered as a
+    /// single JSON document by `bundle.to_json()`.
     pub fn debug_bundle(&self) -> DebugBundle {
-        let mut bundle = DebugBundle::from_telemetry(&self.reader.telemetry, 512);
-        // Replace the raw snapshot with the instance-refreshed one so
-        // cache/rule gauges are current.
-        bundle.metrics = self.telemetry_snapshot();
+        let mut bundle =
+            DebugBundle::from_telemetry(&self.reader.telemetry, self.telemetry_snapshot(), 512);
         let c = &self.config;
-        bundle.config = vec![
-            ("n_shards".to_string(), c.n_shards.to_string()),
-            (
-                "routing".to_string(),
-                format!("\"{}\"", json_escape(&format!("{:?}", c.routing))),
-            ),
-            (
-                "balance_every_writes".to_string(),
-                c.balance_every_writes.to_string(),
-            ),
-            (
-                "refresh_buffer_docs".to_string(),
-                c.refresh_buffer_docs.to_string(),
-            ),
-            ("parallelism".to_string(), c.parallelism.to_string()),
-            ("query_caches".to_string(), c.query_caches.to_string()),
-            (
-                "trace_sample_every".to_string(),
-                c.telemetry.trace_sample_every.to_string(),
-            ),
-            (
-                "slow_query_threshold_us".to_string(),
-                c.telemetry.slow_query_threshold_us.to_string(),
-            ),
-            (
-                "slow_write_threshold_us".to_string(),
-                c.telemetry.slow_write_threshold_us.to_string(),
-            ),
-            (
-                "tail_capture".to_string(),
-                c.telemetry.tail_capture.to_string(),
-            ),
-            (
-                "journal_capacity".to_string(),
-                c.telemetry.journal_capacity.to_string(),
-            ),
-            ("commit_wait_ms".to_string(), c.commit_wait_ms.to_string()),
-            (
-                "migration_tail_max_ops".to_string(),
-                c.migration_tail_max_ops.to_string(),
-            ),
-        ];
-        bundle.rules = {
-            let rules = self.writer.state.rules.read();
-            let mut out = String::from("[");
-            for (i, r) in rules.rules().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let tenants: Vec<String> = r.tenants.iter().map(|t| t.0.to_string()).collect();
-                out.push_str(&format!(
-                    "{{\"effective_time\": {}, \"offset\": {}, \"tenants\": [{}]}}",
-                    r.effective_time,
-                    r.offset,
-                    tenants.join(", ")
-                ));
-            }
-            out.push(']');
-            out
-        };
-        bundle.migrations = statuses_to_json(&self.migrations_snapshot());
+        let t = &c.telemetry;
+        bundle.config = [
+            ("n_shards", c.n_shards.into()),
+            ("routing", format!("{:?}", c.routing).into()),
+            ("balance_every_writes", c.balance_every_writes.into()),
+            ("refresh_buffer_docs", c.refresh_buffer_docs.into()),
+            ("parallelism", c.parallelism.into()),
+            ("query_caches", c.query_caches.into()),
+            ("trace_sample_every", t.trace_sample_every.into()),
+            ("slow_query_threshold_us", t.slow_query_threshold_us.into()),
+            ("slow_write_threshold_us", t.slow_write_threshold_us.into()),
+            ("tail_capture", t.tail_capture.into()),
+            ("journal_capacity", t.journal_capacity.into()),
+            ("commit_wait_ms", c.commit_wait_ms.into()),
+            ("migration_tail_max_ops", c.migration_tail_max_ops.into()),
+        ]
+        .map(|(k, v): (&str, Json)| (k.to_string(), v))
+        .into();
+        bundle.rules = rules_json(self.writer.state.rules.read().rules());
+        bundle.migrations = self
+            .migrations_snapshot()
+            .iter()
+            .map(MigrationStatus::to_json)
+            .collect();
         bundle
     }
 

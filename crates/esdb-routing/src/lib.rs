@@ -25,5 +25,5 @@ pub mod span;
 pub use policy::{
     place, DoubleHashRouting, DynamicRouting, HashRouting, PolicyKind, RoutingPolicy,
 };
-pub use rules::{RuleList, SecondaryHashingRule};
+pub use rules::{rules_json, RuleList, SecondaryHashingRule};
 pub use span::ShardSpan;

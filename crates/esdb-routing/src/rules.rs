@@ -17,6 +17,7 @@
 
 use esdb_common::fastmap::{fast_map, FastMap};
 use esdb_common::{TenantId, TimestampMs};
+use esdb_telemetry::json::{obj, Json};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -209,6 +210,22 @@ impl RuleList {
     pub fn max_effective_time(&self) -> Option<TimestampMs> {
         self.rules.iter().map(|r| r.effective_time).max()
     }
+}
+
+/// The rule list as JSON: one `{effective_time, offset, tenants}` object
+/// per rule, in insertion order. Both debug bundles and the server's
+/// `/admin/rules` render it.
+pub fn rules_json(rules: &[SecondaryHashingRule]) -> Json {
+    rules
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("effective_time", r.effective_time.into()),
+                ("offset", r.offset.into()),
+                ("tenants", r.tenants.iter().map(|t| t.0).collect()),
+            ])
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -17,8 +17,9 @@
 //!   hottest tenants first (driven by the engine's
 //!   [`esdb_balancer::WorkloadMonitor`], the balancer's
 //!   `r = T(k)/ΣT` proportion from Algorithm 1),
-//! * [`wire`]/[`json`] — a lossless JSON wire protocol (hand-rolled:
-//!   the workspace's serde shim has no real serialization),
+//! * [`wire`] — a lossless JSON wire protocol over the one JSON module,
+//!   [`esdb_telemetry::json`] (hand-rolled: the workspace's serde shim
+//!   has no real serialization),
 //! * [`http`] — minimal resumable HTTP/1.1 framing,
 //! * [`transport`] — the listener abstraction ([`TcpTransport`]
 //!   today; the trait keeps a future gRPC listener from touching the
@@ -62,7 +63,6 @@ pub mod auth;
 pub mod client;
 pub mod confine;
 pub mod http;
-pub mod json;
 pub mod server;
 pub mod transport;
 pub mod wire;

@@ -18,12 +18,13 @@
 use crate::admission::{AdmissionConfig, AdmissionController, Decision};
 use crate::auth::{Identity, TokenTable};
 use crate::http::{self, ReadError, Request};
-use crate::json::{obj, Json};
 use crate::transport::{Conn, Transport};
 use crate::wire::{self, WireAgg, WireError, WireOp, WriteAck};
 use esdb_common::RejectedCounts;
-use esdb_core::Esdb;
+use esdb_core::routing::rules_json;
+use esdb_core::{Esdb, MigrationStatus};
 use esdb_query::QueryOptions;
+use esdb_telemetry::json::{obj, Json};
 use esdb_telemetry::{EventKind, Labels, Telemetry};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -584,51 +585,38 @@ fn handle_admin(shared: &Shared, req: &Request, admin_path: &str) -> Resp {
                 retry_after_ms: None,
             }
         }
-        ("GET", "/telemetry") => Resp::json(200, shared.telemetry.snapshot().to_json()),
+        ("GET", "/telemetry") => Resp::json(200, shared.telemetry.snapshot().to_json().to_text()),
         ("GET", "/bundle") => {
             let db = shared.db.lock();
-            Resp::json(200, db.debug_bundle().to_json())
+            Resp::json(200, db.debug_bundle().to_json().to_text())
         }
         ("GET", "/rules") => {
-            let db = shared.db.lock();
-            let rules: Vec<Json> = db
-                .rules_snapshot()
-                .iter()
-                .map(|r| {
-                    obj(vec![
-                        ("effective_time", Json::UInt(r.effective_time)),
-                        ("offset", Json::UInt(r.offset as u64)),
-                        (
-                            "tenants",
-                            Json::Arr(r.tenants.iter().map(|t| Json::UInt(t.0)).collect()),
-                        ),
-                    ])
-                })
-                .collect();
+            let rules = shared.db.lock().rules_snapshot();
             Resp::json(
                 200,
                 obj(vec![
-                    ("rule_count", Json::UInt(db.rule_count() as u64)),
-                    ("rules", Json::Arr(rules)),
+                    ("rule_count", rules.len().into()),
+                    ("rules", rules_json(&rules)),
                 ])
                 .to_text(),
             )
         }
         ("GET", "/migrations") => {
             // Live migration lifecycle state, one entry per tenant whose
-            // shard span ever grew under this instance; the raw fragment
-            // is the same deterministic rendering the debug bundle uses.
-            let db = shared.db.lock();
-            let statuses = db.migrations_snapshot();
-            drop(db);
+            // shard span ever grew under this instance, rendered as the
+            // debug bundle renders it.
+            let statuses = shared.db.lock().migrations_snapshot();
             let active = statuses.iter().filter(|s| s.phase.is_active()).count();
             Resp::json(
                 200,
-                format!(
-                    "{{\"active\": {}, \"migrations\": {}}}",
-                    active,
-                    esdb_core::migration_statuses_to_json(&statuses)
-                ),
+                obj(vec![
+                    ("active", active.into()),
+                    (
+                        "migrations",
+                        statuses.iter().map(MigrationStatus::to_json).collect(),
+                    ),
+                ])
+                .to_text(),
             )
         }
         ("GET", "/stats") => {

@@ -15,10 +15,10 @@
 //!   endpoints; adding fields is backward-compatible (decoders ignore
 //!   unknown members), breaking changes bump the prefix.
 
-use crate::json::{escape_into, obj, parse, Json};
 use esdb_common::{EsdbError, RecordId, TenantId, TimestampMs};
 use esdb_doc::{Document, FieldValue, WriteOp};
 use esdb_query::{AggResult, AggRow, QueryRows};
+use esdb_telemetry::json::{escape_into, obj, parse, Json};
 use std::fmt::Write as _;
 
 /// One write operation as it travels over the wire.

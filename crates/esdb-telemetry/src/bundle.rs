@@ -1,70 +1,31 @@
-//! The one-call postmortem artifact: a [`DebugBundle`] serializes the
+//! The one-call postmortem artifact: a [`DebugBundle`] holds the
 //! metrics snapshot, the journal tail, both slow-path logs, the engine
-//! configuration and the rule-list state into a single JSON document.
+//! configuration and the rule-list state, and renders them as a single
+//! JSON document.
 //!
 //! The rendering is fully deterministic for deterministic inputs (the
 //! chaos failover bench gates byte-identical bundles across same-seed
 //! reruns of the simulated cluster). The telemetry crate is a leaf, so
-//! config and rule-list state arrive pre-rendered as JSON fragments from
-//! the owning layer (`Esdb::debug_bundle()` / the cluster sim).
+//! config and rule-list state arrive as [`Json`] values built by the
+//! owning layer (`Esdb::debug_bundle()` / the cluster sim).
 
 use crate::expo::TelemetrySnapshot;
-use crate::journal::{events_to_json, Event};
+use crate::journal::Event;
+use crate::json::{obj, Json};
 use crate::slowlog::{SlowQueryEntry, SlowWriteEntry};
 use crate::telemetry::Telemetry;
-use crate::trace_export::trace_json;
-use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    json_escape_into(&mut out, s);
-    out
-}
-
-/// Appends `s` escaped for a JSON string literal to `out`, copying runs
-/// that need no escape in one piece and allocating nothing else.
-/// Inlined: the wire writer calls it for every string of every row.
-#[inline]
-pub fn json_escape_into(out: &mut String, s: &str) {
-    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        out.push_str(s);
-        return;
-    }
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let esc = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        // Every escaped byte is ASCII, so `i` is a char boundary.
-        out.push_str(&s[start..i]);
-        if esc.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(esc);
-        }
-        start = i + 1;
-    }
-    out.push_str(&s[start..]);
-}
 
 /// Everything a postmortem needs, in one serializable place.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DebugBundle {
-    /// Configuration as `(key, raw JSON value)` pairs, rendered by the
-    /// owning layer in a fixed order.
-    pub config: Vec<(String, String)>,
-    /// Rule-list state as a raw JSON fragment (`"null"` when absent).
-    pub rules: String,
-    /// Live-migration state as a raw JSON fragment (`"null"` when
-    /// absent): tenant, old/new span, phase, progress per migration.
-    pub migrations: String,
+    /// Configuration as `(key, value)` pairs, in the owning layer's
+    /// fixed order.
+    pub config: Vec<(String, Json)>,
+    /// Rule-list state ([`Json::Null`] when absent).
+    pub rules: Json,
+    /// Live-migration state ([`Json::Null`] when absent): tenant,
+    /// old/new span, phase, progress per migration.
+    pub migrations: Json,
     /// Point-in-time metrics snapshot.
     pub metrics: TelemetrySnapshot,
     /// Journal tail, oldest first.
@@ -78,14 +39,19 @@ pub struct DebugBundle {
 }
 
 impl DebugBundle {
-    /// Captures the telemetry-owned parts (metrics, journal tail, slow
-    /// logs); the caller fills `config` and `rules`.
-    pub fn from_telemetry(telemetry: &Telemetry, journal_tail: usize) -> Self {
+    /// Captures the telemetry-owned parts (journal tail, slow logs)
+    /// around `metrics`, the caller's snapshot; the caller fills
+    /// `config`, `rules` and `migrations`.
+    pub fn from_telemetry(
+        telemetry: &Telemetry,
+        metrics: TelemetrySnapshot,
+        journal_tail: usize,
+    ) -> Self {
         DebugBundle {
             config: Vec::new(),
-            rules: "null".to_string(),
-            migrations: "null".to_string(),
-            metrics: telemetry.snapshot(),
+            rules: Json::Null,
+            migrations: Json::Null,
+            metrics,
             journal: telemetry.journal().tail(journal_tail),
             journal_evicted_max: telemetry.journal().evicted_max(),
             slow_queries: telemetry.slow_queries(),
@@ -93,67 +59,35 @@ impl DebugBundle {
         }
     }
 
-    /// Renders the bundle as one JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(8 * 1024);
-        out.push_str("{\n  \"config\": {");
-        for (i, (k, v)) in self.config.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(k), v));
-        }
-        out.push_str("\n  },\n  \"rules\": ");
-        out.push_str(if self.rules.is_empty() {
-            "null"
-        } else {
-            &self.rules
-        });
-        out.push_str(",\n  \"migrations\": ");
-        out.push_str(if self.migrations.is_empty() {
-            "null"
-        } else {
-            &self.migrations
-        });
-        out.push_str(",\n  \"journal\": {\"evicted_max\": ");
-        out.push_str(&self.journal_evicted_max.to_string());
-        out.push_str(", \"events\": ");
-        out.push_str(&events_to_json(&self.journal));
-        out.push_str("},\n  \"slow_queries\": [");
-        for (i, e) in self.slow_queries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"trace_id\": {}, \"sql\": \"{}\", \"plan\": \"{}\", \
-                 \"fingerprint\": \"{:032x}\", \"tenant\": {}, \"fanout\": {}, \
-                 \"total_ns\": {}, \"trace\": {}}}",
-                e.trace_id,
-                json_escape(&e.sql),
-                json_escape(&e.plan),
-                e.fingerprint,
-                e.tenant
-                    .map_or_else(|| "null".to_string(), |t| t.to_string()),
-                e.fanout,
-                e.total_ns,
-                trace_json(e.trace_id, &e.stages)
-            ));
-        }
-        out.push_str("\n  ],\n  \"slow_writes\": [");
-        for (i, e) in self.slow_writes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"trace_id\": {}, \"shard\": {}, \"ops\": {}, \"lock_wait_ns\": {}, \
-                 \"translog_bytes\": {}, \"total_ns\": {}}}",
-                e.trace_id, e.shard, e.ops, e.lock_wait_ns, e.translog_bytes, e.total_ns
-            ));
-        }
-        out.push_str("\n  ],\n  \"metrics\": ");
-        out.push_str(&self.metrics.to_json());
-        out.push_str("}\n");
-        out
+    /// The bundle as one JSON document.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("config", Json::Obj(self.config.clone())),
+            ("rules", self.rules.clone()),
+            ("migrations", self.migrations.clone()),
+            (
+                "journal",
+                obj(vec![
+                    ("evicted_max", self.journal_evicted_max.into()),
+                    ("events", self.journal.iter().map(Event::to_json).collect()),
+                ]),
+            ),
+            (
+                "slow_queries",
+                self.slow_queries
+                    .iter()
+                    .map(SlowQueryEntry::to_json)
+                    .collect(),
+            ),
+            (
+                "slow_writes",
+                self.slow_writes
+                    .iter()
+                    .map(SlowWriteEntry::to_json)
+                    .collect(),
+            ),
+            ("metrics", self.metrics.to_json()),
+        ])
     }
 }
 
@@ -161,8 +95,26 @@ impl DebugBundle {
 mod tests {
     use super::*;
     use crate::journal::EventKind;
+    use crate::json::parse;
     use crate::registry::Labels;
     use crate::telemetry::TelemetryConfig;
+
+    fn slow_query(sql: &str) -> SlowQueryEntry {
+        SlowQueryEntry {
+            trace_id: 5,
+            sql: sql.into(),
+            plan: "All".into(),
+            fingerprint: 0xabc,
+            tenant: None,
+            fanout: 2,
+            total_ns: 99,
+            stages: Vec::new(),
+        }
+    }
+
+    fn bundle(t: &Telemetry) -> DebugBundle {
+        DebugBundle::from_telemetry(t, t.snapshot(), 64)
+    }
 
     #[test]
     fn bundle_renders_all_sections() {
@@ -172,16 +124,7 @@ mod tests {
             .add(3);
         t.journal()
             .emit(EventKind::NodeCrashed { node: 1 }, Labels::node(1), 0);
-        t.log_slow(SlowQueryEntry {
-            trace_id: 5,
-            sql: "SELECT \"x\"".into(),
-            plan: "All".into(),
-            fingerprint: 0xabc,
-            tenant: None,
-            fanout: 2,
-            total_ns: 99,
-            stages: Vec::new(),
-        });
+        t.log_slow(slow_query("SELECT \"x\""));
         t.log_slow_write(SlowWriteEntry {
             trace_id: 0,
             shard: 3,
@@ -190,28 +133,57 @@ mod tests {
             translog_bytes: 512,
             total_ns: 88,
         });
-        let mut bundle = DebugBundle::from_telemetry(&t, 64);
-        bundle.config.push(("shards".to_string(), "8".to_string()));
-        bundle.rules = "[{\"tenant\": 1, \"offset\": 4}]".to_string();
-        bundle.migrations = "[{\"tenant\": 1, \"phase\": \"cutover\"}]".to_string();
-        let json = bundle.to_json();
-        for section in [
-            "\"config\"",
-            "\"shards\": 8",
-            "\"rules\"",
-            "\"migrations\"",
-            "\"phase\": \"cutover\"",
-            "\"journal\"",
-            "\"node_crashed\"",
-            "\"slow_queries\"",
-            "SELECT \\\"x\\\"",
-            "\"slow_writes\"",
-            "\"translog_bytes\": 512",
-            "\"metrics\"",
-            "esdb_writes_total",
-        ] {
-            assert!(json.contains(section), "missing {section} in:\n{json}");
-        }
+        let mut bundle = bundle(&t);
+        bundle.config.push(("shards".to_string(), 8u64.into()));
+        bundle.rules = parse(r#"[{"tenant": 1, "offset": 4}]"#).unwrap();
+        bundle.migrations = parse(r#"[{"tenant": 1, "phase": "cutover"}]"#).unwrap();
+        let doc = parse(&bundle.to_json().to_text()).expect("bundle parses");
+        let at = |path: &[&str]| {
+            path.iter()
+                .try_fold(&doc, |v, k| v.get(k))
+                .unwrap_or_else(|| panic!("missing {path:?}"))
+        };
+        let first = |path: &[&str]| at(path).as_arr().and_then(|a| a.first()).unwrap();
+        assert_eq!(at(&["config", "shards"]).as_u64(), Some(8));
+        assert_eq!(first(&["rules"]).get("offset"), Some(&Json::UInt(4)));
+        assert_eq!(
+            first(&["migrations"]).get("phase").and_then(Json::as_str),
+            Some("cutover")
+        );
+        assert_eq!(
+            first(&["journal", "events"])
+                .get("kind")
+                .and_then(Json::as_str),
+            Some("node_crashed")
+        );
+        assert_eq!(
+            first(&["slow_queries"]).get("sql").and_then(Json::as_str),
+            Some("SELECT \"x\"")
+        );
+        assert_eq!(
+            first(&["slow_writes"]).get("translog_bytes"),
+            Some(&Json::UInt(512))
+        );
+        assert_eq!(
+            first(&["metrics", "counters"])
+                .get("name")
+                .and_then(Json::as_str),
+            Some("esdb_writes_total")
+        );
+    }
+
+    #[test]
+    fn slow_query_sql_round_trips_through_the_bundle() {
+        let sql = "SELECT \"a\\b\" FROM t WHERE s = '\u{1}\t\u{7f}' -- é 😀";
+        let t = Telemetry::default();
+        t.log_slow(slow_query(sql));
+        let doc = parse(&bundle(&t).to_json().to_text()).expect("bundle parses");
+        let entry = &doc.get("slow_queries").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(entry.get("sql").and_then(Json::as_str), Some(sql));
+        assert_eq!(
+            entry.get("fingerprint").and_then(Json::as_str),
+            Some("00000000000000000000000000000abc")
+        );
     }
 
     #[test]
@@ -225,18 +197,8 @@ mod tests {
             Labels::none(),
             0,
         );
-        let a = DebugBundle::from_telemetry(&t, 16).to_json();
-        let b = DebugBundle::from_telemetry(&t, 16).to_json();
+        let a = bundle(&t).to_json().to_text();
+        let b = bundle(&t).to_json().to_text();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn escaping_handles_control_and_quote_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("é\u{1f}\"x\u{7f}"), "é\\u001f\\\"x\u{7f}");
-        let mut out = String::from("[");
-        json_escape_into(&mut out, "\t\r");
-        assert_eq!(out, "[\\t\\r");
     }
 }

@@ -8,8 +8,8 @@
 //! sorted by `(name, labels)`.
 
 use crate::histogram::HistogramSnapshot;
+use crate::json::{self, obj, Json};
 use crate::registry::{Labels, Metric, MetricsRegistry};
-use crate::slowlog::{SlowQueryEntry, SlowWriteEntry};
 
 /// Quantiles every histogram reports.
 const QUANTILES: [(&str, f64); 4] = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)];
@@ -23,12 +23,6 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(String, Labels, i64)>,
     /// Histograms: `(name, labels, snapshot)`, sorted.
     pub histograms: Vec<(String, Labels, HistogramSnapshot)>,
-    /// Slow-query log contents at snapshot time (filled by
-    /// `Telemetry::snapshot`; empty for bare registry snapshots). Not
-    /// part of the Prometheus/JSON series renderings.
-    pub slow_queries: Vec<SlowQueryEntry>,
-    /// Slow-write log contents at snapshot time (same caveats).
-    pub slow_writes: Vec<SlowWriteEntry>,
 }
 
 impl TelemetrySnapshot {
@@ -120,66 +114,41 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Renders a JSON snapshot (hand-rolled; only digits and fixed keys,
-    /// no escaping needed).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"counters\": [");
-        for (i, (name, labels, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": \"");
-            out.push_str(name);
-            out.push_str("\", \"labels\": ");
-            out.push_str(&json_labels(labels));
-            out.push_str(", \"value\": ");
-            out.push_str(&value.to_string());
-            out.push('}');
+    /// The JSON snapshot: `counters`, `gauges` and `histograms`, each
+    /// an array of `{name, labels, ...}` objects in series order.
+    pub fn to_json(&self) -> Json {
+        fn series(name: &str, labels: &Labels, rest: Vec<(&str, Json)>) -> Json {
+            let mut members = vec![("name", name.into()), ("labels", labels.to_json())];
+            members.extend(rest);
+            obj(members)
         }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        for (i, (name, labels, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": \"");
-            out.push_str(name);
-            out.push_str("\", \"labels\": ");
-            out.push_str(&json_labels(labels));
-            out.push_str(", \"value\": ");
-            out.push_str(&value.to_string());
-            out.push('}');
-        }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        for (i, (name, labels, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": \"");
-            out.push_str(name);
-            out.push_str("\", \"labels\": ");
-            out.push_str(&json_labels(labels));
-            out.push_str(&format!(
-                ", \"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.3}",
-                h.count(),
-                h.sum(),
-                h.max(),
-                h.mean()
-            ));
-            for (qname, q) in QUANTILES {
-                out.push_str(&format!(", \"{qname}\": {}", h.quantile(q)));
-            }
-            out.push_str(", \"buckets\": [");
-            for (j, (upper, count)) in h.buckets().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{upper}, {count}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, labels, v)| series(name, labels, vec![("value", (*v).into())]));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, labels, v)| series(name, labels, vec![("value", (*v).into())]));
+        let histograms = self.histograms.iter().map(|(name, labels, h)| {
+            let mut rest = vec![
+                ("count", h.count().into()),
+                ("sum", u64::try_from(h.sum()).unwrap_or(u64::MAX).into()),
+                ("max", h.max().into()),
+                ("mean", h.mean().into()),
+            ];
+            rest.extend(QUANTILES.map(|(qname, q)| (qname, h.quantile(q).into())));
+            let buckets = h
+                .buckets()
+                .map(|(upper, count)| Json::from_iter([upper, count]));
+            rest.push(("buckets", buckets.collect()));
+            series(name, labels, rest)
+        });
+        obj(vec![
+            ("counters", counters.collect()),
+            ("gauges", gauges.collect()),
+            ("histograms", histograms.collect()),
+        ])
     }
 }
 
@@ -207,23 +176,6 @@ fn render_labels(labels: &Labels, le: Option<&str>) -> String {
     } else {
         format!("{{{}}}", parts.join(","))
     }
-}
-
-pub(crate) fn json_labels(labels: &Labels) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if let Some(t) = labels.tenant {
-        parts.push(format!("\"tenant\": {t}"));
-    }
-    if let Some(s) = labels.shard {
-        parts.push(format!("\"shard\": {s}"));
-    }
-    if let Some(n) = labels.node {
-        parts.push(format!("\"node\": {n}"));
-    }
-    if let Some(st) = labels.stage {
-        parts.push(format!("\"stage\": \"{st}\""));
-    }
-    format!("{{{}}}", parts.join(", "))
 }
 
 /// Lints Prometheus text output. Checks:
@@ -385,52 +337,33 @@ pub fn prometheus_histogram_counts(text: &str) -> Vec<(String, u64)> {
 
 /// Extracts `(series, total count)` for every histogram in a JSON
 /// snapshot produced by [`TelemetrySnapshot::to_json`]. Sorted with the
-/// same key format as [`prometheus_histogram_counts`].
-pub fn json_histogram_counts(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let Some(start) = json.find("\"histograms\": [") else {
-        return out;
+/// same key format as [`prometheus_histogram_counts`]; text that is not
+/// such a snapshot yields nothing.
+pub fn json_histogram_counts(text: &str) -> Vec<(String, u64)> {
+    let Ok(doc) = json::parse(text) else {
+        return Vec::new();
     };
-    for obj in json[start..].split("{\"name\": \"").skip(1) {
-        let Some(name_end) = obj.find('"') else {
-            continue;
-        };
-        let name = &obj[..name_end];
-        let Some(lstart) = obj.find("\"labels\": {") else {
-            continue;
-        };
-        let lrest = &obj[lstart + "\"labels\": {".len()..];
-        let Some(lend) = lrest.find('}') else {
-            continue;
-        };
-        let labels = render_labels_from_json(&lrest[..lend]);
-        let Some(cstart) = obj.find("\"count\": ") else {
-            continue;
-        };
-        let crest = &obj[cstart + "\"count\": ".len()..];
-        let digits: String = crest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if let Ok(v) = digits.parse::<u64>() {
-            out.push((format!("{name}{{{labels}}}"), v));
-        }
-    }
+    let series = doc.get("histograms").and_then(Json::as_arr).unwrap_or(&[]);
+    let mut out: Vec<(String, u64)> = series
+        .iter()
+        .filter_map(|h| {
+            let name = h.get("name")?.as_str()?;
+            let count = h.get("count")?.as_u64()?;
+            let Json::Obj(labels) = h.get("labels")? else {
+                return None;
+            };
+            let labels: Vec<String> = labels
+                .iter()
+                .map(|(k, v)| {
+                    let v = v.as_str().map_or_else(|| v.to_text(), str::to_string);
+                    format!("{k}=\"{v}\"")
+                })
+                .collect();
+            Some((format!("{name}{{{}}}", labels.join(",")), count))
+        })
+        .collect();
     out.sort();
     out
-}
-
-/// Converts `"tenant": 1, "stage": "x"` back into Prometheus label
-/// syntax `tenant="1",stage="x"`.
-fn render_labels_from_json(inner: &str) -> String {
-    inner
-        .split(", ")
-        .filter(|s| !s.is_empty())
-        .map(|kv| {
-            let (k, v) = kv.split_once(": ").unwrap_or((kv, ""));
-            let k = k.trim_matches('"');
-            let v = v.trim_matches('"');
-            format!("{k}=\"{v}\"")
-        })
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 #[cfg(test)]
@@ -481,7 +414,7 @@ mod tests {
     fn histogram_counts_round_trip() {
         let snap = TelemetrySnapshot::from_registry(&sample_registry());
         let prom = prometheus_histogram_counts(&snap.to_prometheus());
-        let json = json_histogram_counts(&snap.to_json());
+        let json = json_histogram_counts(&snap.to_json().to_text());
         assert!(!prom.is_empty());
         assert_eq!(prom, json);
     }

@@ -32,6 +32,7 @@
 //! ring can still be classified as "evicted" rather than dangling
 //! ([`unresolved_parents`]).
 
+use crate::json::{obj, Json};
 use crate::registry::Labels;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -289,127 +290,90 @@ impl EventKind {
         }
     }
 
-    /// Renders the payload as a JSON object body (no braces).
-    fn json_fields(&self) -> String {
-        match self {
+    /// The payload as one JSON object.
+    fn data(&self) -> Json {
+        // Each payload field renders under its own name.
+        macro_rules! fields {
+            ($($f:ident),*) => {
+                obj(vec![$((stringify!($f), $f.into())),*])
+            };
+        }
+        match *self {
             EventKind::HotTenantDetected {
                 tenant,
                 proportion_ppm,
                 proposed_offset,
-            } => format!(
-                "\"tenant\": {tenant}, \"proportion_ppm\": {proportion_ppm}, \
-                 \"proposed_offset\": {proposed_offset}"
-            ),
+            } => fields!(tenant, proportion_ppm, proposed_offset),
             EventKind::RuleAppended {
                 tenant,
                 old_span,
                 new_span,
                 commit_wait_ns,
-            } => format!(
-                "\"tenant\": {tenant}, \"old_span\": {old_span}, \"new_span\": {new_span}, \
-                 \"commit_wait_ns\": {commit_wait_ns}"
-            ),
+            } => fields!(tenant, old_span, new_span, commit_wait_ns),
             EventKind::MigrationStarted {
                 tenant,
                 old_span,
                 new_span,
                 effective_time,
-            } => format!(
-                "\"tenant\": {tenant}, \"old_span\": {old_span}, \"new_span\": {new_span}, \
-                 \"effective_time\": {effective_time}"
-            ),
+            } => fields!(tenant, old_span, new_span, effective_time),
             EventKind::MigrationSegmentsShipped {
                 tenant,
                 segments,
                 rows,
                 bytes,
-            } => format!(
-                "\"tenant\": {tenant}, \"segments\": {segments}, \"rows\": {rows}, \
-                 \"bytes\": {bytes}"
-            ),
-            EventKind::MigrationTailDrained { tenant, ops } => {
-                format!("\"tenant\": {tenant}, \"ops\": {ops}")
-            }
+            } => fields!(tenant, segments, rows, bytes),
+            EventKind::MigrationTailDrained { tenant, ops } => fields!(tenant, ops),
             EventKind::MigrationCutover {
                 tenant,
                 rows_moved,
                 tail_ops,
                 cutover_ns,
-            } => format!(
-                "\"tenant\": {tenant}, \"rows_moved\": {rows_moved}, \"tail_ops\": {tail_ops}, \
-                 \"cutover_ns\": {cutover_ns}"
-            ),
+            } => fields!(tenant, rows_moved, tail_ops, cutover_ns),
             EventKind::MigrationCompleted {
                 tenant,
                 old_span,
                 new_span,
-            } => {
-                format!("\"tenant\": {tenant}, \"old_span\": {old_span}, \"new_span\": {new_span}")
-            }
-            EventKind::MigrationAborted { tenant, phase } => {
-                format!("\"tenant\": {tenant}, \"phase\": \"{phase}\"")
-            }
-            EventKind::RebalanceEpochClaimed { epoch } => format!("\"epoch\": {epoch}"),
+            } => fields!(tenant, old_span, new_span),
+            EventKind::MigrationAborted { tenant, phase } => fields!(tenant, phase),
+            EventKind::RebalanceEpochClaimed { epoch } => fields!(epoch),
             EventKind::RebalanceEpochCompleted {
                 epoch,
                 rules_committed,
-            } => format!("\"epoch\": {epoch}, \"rules_committed\": {rules_committed}"),
-            EventKind::ChaosFaultInjected { fault, node } => {
-                format!("\"fault\": \"{fault}\", \"node\": {node}")
-            }
-            EventKind::NodeCrashed { node } => format!("\"node\": {node}"),
-            EventKind::NodeRestarted { node, downtime_ms } => {
-                format!("\"node\": {node}, \"downtime_ms\": {downtime_ms}")
-            }
+            } => fields!(epoch, rules_committed),
+            EventKind::ChaosFaultInjected { fault, node } => fields!(fault, node),
+            EventKind::NodeCrashed { node } => fields!(node),
+            EventKind::NodeRestarted { node, downtime_ms } => fields!(node, downtime_ms),
             EventKind::PromotionStarted {
                 shard,
                 crashed_node,
-            } => format!("\"shard\": {shard}, \"crashed_node\": {crashed_node}"),
-            EventKind::TranslogReplayed { shard, ops } => {
-                format!("\"shard\": {shard}, \"ops\": {ops}")
-            }
+            } => fields!(shard, crashed_node),
+            EventKind::TranslogReplayed { shard, ops } => fields!(shard, ops),
             EventKind::PromotionCompleted {
                 shard,
                 replayed_ops,
                 latency_ms,
-            } => format!(
-                "\"shard\": {shard}, \"replayed_ops\": {replayed_ops}, \
-                 \"latency_ms\": {latency_ms}"
-            ),
-            EventKind::ReplicaResynced { ops } => format!("\"ops\": {ops}"),
-            EventKind::SegmentRefresh { shard, segments } => {
-                format!("\"shard\": {shard}, \"segments\": {segments}")
-            }
+            } => fields!(shard, replayed_ops, latency_ms),
+            EventKind::ReplicaResynced { ops } => fields!(ops),
+            EventKind::SegmentRefresh { shard, segments } => fields!(shard, segments),
             EventKind::SegmentMerge {
                 shard,
                 merged,
                 segments,
-            } => format!("\"shard\": {shard}, \"merged\": {merged}, \"segments\": {segments}"),
-            EventKind::SegmentFlush { shard, segments } => {
-                format!("\"shard\": {shard}, \"segments\": {segments}")
-            }
-            EventKind::CacheSweep { evicted, entries } => {
-                format!("\"evicted\": {evicted}, \"entries\": {entries}")
-            }
-            EventKind::ServerAdmit { tenant } => format!("\"tenant\": {tenant}"),
+            } => fields!(shard, merged, segments),
+            EventKind::SegmentFlush { shard, segments } => fields!(shard, segments),
+            EventKind::CacheSweep { evicted, entries } => fields!(evicted, entries),
+            EventKind::ServerAdmit { tenant } => fields!(tenant),
             EventKind::ServerThrottle {
                 tenant,
                 reason,
                 retry_after_ms,
-            } => format!(
-                "\"tenant\": {tenant}, \"reason\": \"{reason}\", \
-                 \"retry_after_ms\": {retry_after_ms}"
-            ),
+            } => fields!(tenant, reason, retry_after_ms),
             EventKind::ServerShed {
                 tenant,
                 proportion_ppm,
-            } => format!("\"tenant\": {tenant}, \"proportion_ppm\": {proportion_ppm}"),
-            EventKind::ServerDrainStarted { in_flight } => {
-                format!("\"in_flight\": {in_flight}")
-            }
-            EventKind::ServerDrainCompleted { drained, refused } => {
-                format!("\"drained\": {drained}, \"refused\": {refused}")
-            }
+            } => fields!(tenant, proportion_ppm),
+            EventKind::ServerDrainStarted { in_flight } => fields!(in_flight),
+            EventKind::ServerDrainCompleted { drained, refused } => fields!(drained, refused),
         }
     }
 }
@@ -428,16 +392,16 @@ pub struct Event {
 }
 
 impl Event {
-    /// Renders the event as one JSON object.
-    pub(crate) fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\": {}, \"parent_seq\": {}, \"kind\": \"{}\", \"labels\": {}, \"data\": {{{}}}}}",
-            self.seq,
-            self.parent_seq,
-            self.kind.name(),
-            crate::expo::json_labels(&self.labels),
-            self.kind.json_fields()
-        )
+    /// The event as one JSON object: `seq`, `parent_seq`, `kind`,
+    /// `labels` and the payload under `data`.
+    pub(crate) fn to_json(&self) -> Json {
+        obj(vec![
+            ("seq", self.seq.into()),
+            ("parent_seq", self.parent_seq.into()),
+            ("kind", self.kind.name().into()),
+            ("labels", self.labels.to_json()),
+            ("data", self.kind.data()),
+        ])
     }
 }
 
@@ -537,20 +501,6 @@ pub fn unresolved_parents(events: &[Event], evicted_max: u64) -> Vec<u64> {
     bad
 }
 
-/// Renders a slice of events as a JSON array.
-pub(crate) fn events_to_json(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 2);
-    out.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&e.to_json());
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,11 +588,15 @@ mod tests {
                 commit_wait_ns: 77,
             },
         };
+        let json = crate::json::parse(&e.to_json().to_text()).expect("event json");
         assert_eq!(
-            e.to_json(),
-            "{\"seq\": 3, \"parent_seq\": 1, \"kind\": \"rule_appended\", \
-             \"labels\": {\"tenant\": 9, \"shard\": 2}, \
-             \"data\": {\"tenant\": 9, \"old_span\": 1, \"new_span\": 4, \"commit_wait_ns\": 77}}"
+            json,
+            crate::json::parse(
+                r#"{"seq": 3, "parent_seq": 1, "kind": "rule_appended",
+                    "labels": {"tenant": 9, "shard": 2},
+                    "data": {"tenant": 9, "old_span": 1, "new_span": 4, "commit_wait_ns": 77}}"#
+            )
+            .unwrap()
         );
     }
 }

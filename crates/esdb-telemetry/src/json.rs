@@ -1,5 +1,12 @@
-//! A small self-contained JSON value type with a recursive-descent
-//! parser and a writer, used by the wire protocol.
+//! The one JSON module: a [`Json`] value, the recursive-descent
+//! [`parse`]r, the compact writer ([`Json::to_text`]) and the string
+//! escaper ([`escape_into`]). Every document the program emits — the
+//! wire protocol, the telemetry snapshot, the journal, traces, the debug
+//! bundle, the admin endpoints, the gate-bench reports — is built as a
+//! `Json` value and rendered here, so no other file knows the syntax.
+//! The one exception is the wire layer's one-pass row writer, which
+//! writes rows straight into the response and is pinned against the
+//! `Json` tree by a property test.
 //!
 //! The build environment has no real `serde`, so the codec is
 //! hand-rolled — and deliberately *lossless for the wire types*: the
@@ -7,12 +14,43 @@
 //! `u64` round-trips bit-exactly, never through `f64`), and the wire
 //! layer encodes floats as shortest-round-trip *strings* so a
 //! `FieldValue::Float` survives serialize → parse → deserialize
-//! byte-identically (see [`crate::wire`]).
+//! byte-identically.
 
-pub(crate) use esdb_telemetry::json_escape_into as escape_into;
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
+/// Appends `s` escaped for a JSON string literal to `out`, copying runs
+/// that need no escape in one piece and allocating nothing else.
+/// Inlined: the wire writer calls it for every string of every row.
+#[inline]
+pub fn escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+}
+
+/// A JSON value: what [`parse`] returns and what every emitter builds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -35,7 +73,8 @@ pub enum Json {
 
 impl Json {
     /// Member lookup on an object (first match).
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
+    #[inline]
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -43,7 +82,8 @@ impl Json {
     }
 
     /// The value as `u64` (accepts `UInt` and non-negative `Int`).
-    pub(crate) fn as_u64(&self) -> Option<u64> {
+    #[inline]
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(v) => Some(*v),
             Json::Int(v) if *v >= 0 => Some(*v as u64),
@@ -52,7 +92,8 @@ impl Json {
     }
 
     /// The value as `i64` (accepts `Int` and in-range `UInt`).
-    pub(crate) fn as_i64(&self) -> Option<i64> {
+    #[inline]
+    pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
             Json::UInt(v) => i64::try_from(*v).ok(),
@@ -61,7 +102,8 @@ impl Json {
     }
 
     /// The value as a string slice.
-    pub(crate) fn as_str(&self) -> Option<&str> {
+    #[inline]
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -69,7 +111,8 @@ impl Json {
     }
 
     /// The value as a bool.
-    pub(crate) fn as_bool(&self) -> Option<bool> {
+    #[inline]
+    pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -77,7 +120,8 @@ impl Json {
     }
 
     /// The value as an array slice.
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
+    #[inline]
+    pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -145,7 +189,7 @@ impl Json {
 }
 
 /// Convenience constructor for an object literal.
-pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
+pub fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(
         members
             .into_iter()
@@ -154,8 +198,70 @@ pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
     )
 }
 
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::UInt(v)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::UInt(v.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::UInt(v as u64)
+    }
+}
+
+impl From<i64> for Json {
+    fn from(v: i64) -> Json {
+        Json::Int(v)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Float(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// An array of the converted items.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 /// Parses one JSON document; trailing non-whitespace is an error.
-pub(crate) fn parse(text: &str) -> Result<Json, String> {
+pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -172,8 +278,8 @@ pub(crate) fn parse(text: &str) -> Result<Json, String> {
 
 /// Deepest accepted array/object nesting. The parser recurses per
 /// level, so without a cap a request body of nothing but `[`s (up to
-/// [`crate::http::MAX_BODY`] of them) would overflow the worker
-/// thread's stack and abort the process. Wire messages nest a handful
+/// the server's body limit of them) would overflow the worker thread's
+/// stack and abort the process. Wire messages nest a handful
 /// of levels; 128 is far above any legitimate body.
 const MAX_DEPTH: usize = 128;
 
@@ -470,6 +576,21 @@ mod tests {
         // instead of overflowing the parser's stack.
         assert!(parse(&"[".repeat(200_000)).is_err());
         assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn escaping_handles_control_and_quote_chars() {
+        let escape = |s: &str| {
+            let mut out = String::new();
+            escape_into(&mut out, s);
+            out
+        };
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("é\u{1f}\"x\u{7f}"), "é\\u001f\\\"x\u{7f}");
+        let mut out = String::from("[");
+        escape_into(&mut out, "\t\r");
+        assert_eq!(out, "[\\t\\r");
     }
 
     #[test]

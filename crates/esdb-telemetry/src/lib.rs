@@ -3,7 +3,8 @@
 //! ring-buffer slow-query/slow-write logs, a causally-linked event
 //! journal ([`journal`]), Chrome-trace/structured-JSON trace exporters
 //! ([`trace_export`]), a one-call postmortem [`bundle::DebugBundle`],
-//! and Prometheus/JSON exposition.
+//! Prometheus/JSON exposition, and the one [`json`] module every JSON
+//! document of the program is built and parsed with.
 //!
 //! The paper's balancing loop is measurement-driven — the workload
 //! monitor's per-tenant/shard/node counters (Fig. 3, Algorithm 1) feed
@@ -23,6 +24,8 @@
 //!   operation.
 //! - **No async runtime.** Spans are RAII wall-clock timers with
 //!   explicit parent IDs ([`span`]).
+//! - **One JSON.** Every emitter returns a [`json::Json`] value; callers
+//!   that need text call `to_text()`, which writes compact JSON.
 //! - **One interpolation rule.** All bucketed quantiles in the codebase
 //!   come from [`histogram`], which documents the rule once.
 
@@ -30,13 +33,14 @@ pub mod bundle;
 pub mod expo;
 pub mod histogram;
 pub mod journal;
+pub mod json;
 pub mod registry;
 pub mod slowlog;
 pub mod span;
 mod telemetry;
 pub mod trace_export;
 
-pub use bundle::{json_escape, json_escape_into, DebugBundle};
+pub use bundle::DebugBundle;
 pub use expo::{
     json_histogram_counts, lint_prometheus, prometheus_histogram_counts, TelemetrySnapshot,
 };

@@ -10,6 +10,7 @@
 //! ([`MetricsRegistry::add`]).
 
 use crate::histogram::Histogram;
+use crate::json::{obj, Json};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -77,6 +78,25 @@ impl Labels {
     pub const fn with_shard(mut self, s: u32) -> Labels {
         self.shard = Some(s);
         self
+    }
+
+    /// The set labels as one object, in `tenant, shard, node, stage`
+    /// order (the Prometheus label order).
+    pub(crate) fn to_json(self) -> Json {
+        let mut members = Vec::new();
+        if let Some(t) = self.tenant {
+            members.push(("tenant", t.into()));
+        }
+        if let Some(s) = self.shard {
+            members.push(("shard", s.into()));
+        }
+        if let Some(n) = self.node {
+            members.push(("node", n.into()));
+        }
+        if let Some(st) = self.stage {
+            members.push(("stage", st.into()));
+        }
+        obj(members)
     }
 }
 

@@ -11,7 +11,9 @@
 //! logging is off the hot path (one branch on the threshold; the mutex
 //! is taken only for actual slow requests).
 
+use crate::json::{obj, Json};
 use crate::span::StageSample;
+use crate::trace_export::trace_json;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -56,22 +58,56 @@ pub struct SlowWriteEntry {
     pub total_ns: u64,
 }
 
-/// Shared bounded-ring machinery for both logs.
+impl SlowQueryEntry {
+    /// The entry as one JSON object; `trace` is the structured span
+    /// list ([`trace_json`]).
+    pub(crate) fn to_json(&self) -> Json {
+        obj(vec![
+            ("trace_id", self.trace_id.into()),
+            ("sql", self.sql.as_str().into()),
+            ("plan", self.plan.as_str().into()),
+            ("fingerprint", format!("{:032x}", self.fingerprint).into()),
+            ("tenant", self.tenant.into()),
+            ("fanout", self.fanout.into()),
+            ("total_ns", self.total_ns.into()),
+            ("trace", trace_json(self.trace_id, &self.stages)),
+        ])
+    }
+}
+
+impl SlowWriteEntry {
+    /// The entry as one JSON object.
+    pub(crate) fn to_json(&self) -> Json {
+        obj(vec![
+            ("trace_id", self.trace_id.into()),
+            ("shard", self.shard.into()),
+            ("ops", self.ops.into()),
+            ("lock_wait_ns", self.lock_wait_ns.into()),
+            ("translog_bytes", self.translog_bytes.into()),
+            ("total_ns", self.total_ns.into()),
+        ])
+    }
+}
+
+/// A bounded ring, newest last: one holds the slow queries, one the
+/// slow writes.
 #[derive(Debug)]
-struct Ring<T> {
+pub(crate) struct Ring<T> {
     capacity: usize,
     ring: Mutex<VecDeque<T>>,
 }
 
 impl<T: Clone> Ring<T> {
-    fn new(capacity: usize) -> Self {
+    /// A ring holding at most `capacity` entries (0 drops everything).
+    pub(crate) fn new(capacity: usize) -> Self {
         Ring {
             capacity,
             ring: Mutex::new(VecDeque::with_capacity(capacity.min(64))),
         }
     }
 
-    fn push(&self, entry: T) {
+    /// Appends an entry, evicting the oldest when full.
+    pub(crate) fn push(&self, entry: T) {
         if self.capacity == 0 {
             return;
         }
@@ -82,7 +118,8 @@ impl<T: Clone> Ring<T> {
         ring.push_back(entry);
     }
 
-    fn entries(&self) -> Vec<T> {
+    /// Copies out the current entries, oldest first.
+    pub(crate) fn entries(&self) -> Vec<T> {
         self.ring
             .lock()
             .expect("slow-log ring")
@@ -90,78 +127,12 @@ impl<T: Clone> Ring<T> {
             .cloned()
             .collect()
     }
-
-    /// Length and entries copied under a single lock hold.
-    fn snapshot(&self) -> (usize, Vec<T>) {
-        let ring = self.ring.lock().expect("slow-log ring");
-        (ring.len(), ring.iter().cloned().collect())
-    }
-}
-
-/// Bounded ring of [`SlowQueryEntry`]s, newest last.
-#[derive(Debug)]
-pub(crate) struct SlowQueryLog {
-    ring: Ring<SlowQueryEntry>,
-}
-
-impl SlowQueryLog {
-    /// Ring holding at most `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> Self {
-        SlowQueryLog {
-            ring: Ring::new(capacity),
-        }
-    }
-
-    /// Appends an entry, evicting the oldest when full.
-    pub(crate) fn push(&self, entry: SlowQueryEntry) {
-        self.ring.push(entry);
-    }
-
-    /// Copies out the current entries, oldest first.
-    pub(crate) fn entries(&self) -> Vec<SlowQueryEntry> {
-        self.ring.entries()
-    }
-
-    /// Length and entries under **one** lock hold, so the pair can't
-    /// tear across a concurrent push.
-    pub(crate) fn snapshot(&self) -> (usize, Vec<SlowQueryEntry>) {
-        self.ring.snapshot()
-    }
-}
-
-/// Bounded ring of [`SlowWriteEntry`]s, newest last.
-#[derive(Debug)]
-pub(crate) struct SlowWriteLog {
-    ring: Ring<SlowWriteEntry>,
-}
-
-impl SlowWriteLog {
-    /// Ring holding at most `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> Self {
-        SlowWriteLog {
-            ring: Ring::new(capacity),
-        }
-    }
-
-    /// Appends an entry, evicting the oldest when full.
-    pub(crate) fn push(&self, entry: SlowWriteEntry) {
-        self.ring.push(entry);
-    }
-
-    /// Copies out the current entries, oldest first.
-    pub(crate) fn entries(&self) -> Vec<SlowWriteEntry> {
-        self.ring.entries()
-    }
-
-    /// Length and entries under one lock hold.
-    pub(crate) fn snapshot(&self) -> (usize, Vec<SlowWriteEntry>) {
-        self.ring.snapshot()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Telemetry, TelemetryConfig};
 
     fn entry(sql: &str) -> SlowQueryEntry {
         SlowQueryEntry {
@@ -187,48 +158,46 @@ mod tests {
         }
     }
 
+    fn telemetry(slow_log_capacity: usize) -> Telemetry {
+        Telemetry::new(TelemetryConfig {
+            slow_log_capacity,
+            ..TelemetryConfig::default()
+        })
+    }
+
     #[test]
     fn ring_evicts_oldest() {
-        let log = SlowQueryLog::new(2);
-        log.push(entry("a"));
-        log.push(entry("b"));
-        log.push(entry("c"));
-        let sqls: Vec<String> = log.entries().into_iter().map(|e| e.sql).collect();
+        let t = telemetry(2);
+        t.log_slow(entry("a"));
+        t.log_slow(entry("b"));
+        t.log_slow(entry("c"));
+        let sqls: Vec<String> = t.slow_queries().into_iter().map(|e| e.sql).collect();
         assert_eq!(sqls, ["b", "c"]);
     }
 
     #[test]
     fn zero_capacity_drops_everything() {
-        let log = SlowQueryLog::new(0);
-        log.push(entry("a"));
-        assert!(log.entries().is_empty());
-    }
-
-    #[test]
-    fn snapshot_is_len_plus_entries_atomically() {
-        let log = SlowQueryLog::new(4);
-        log.push(entry("a"));
-        log.push(entry("b"));
-        let (len, entries) = log.snapshot();
-        assert_eq!(len, 2);
-        assert_eq!(entries.len(), len);
-        assert_eq!(entries[0].sql, "a");
+        let t = telemetry(0);
+        t.log_slow(entry("a"));
+        t.log_slow_write(write_entry(0));
+        assert!(t.slow_queries().is_empty());
+        assert!(t.slow_writes().is_empty());
     }
 
     #[test]
     fn write_log_mirrors_query_log_semantics() {
-        let log = SlowWriteLog::new(2);
-        assert!(log.entries().is_empty());
-        log.push(write_entry(0));
-        log.push(write_entry(1));
-        log.push(write_entry(2));
-        let (len, entries) = log.snapshot();
-        assert_eq!(len, 2);
+        let t = telemetry(2);
+        assert!(t.slow_writes().is_empty());
+        t.log_slow_write(write_entry(0));
+        t.log_slow_write(write_entry(1));
+        t.log_slow_write(write_entry(2));
+        let entries = t.slow_writes();
         assert_eq!(
             entries.iter().map(|e| e.shard).collect::<Vec<_>>(),
             vec![1, 2]
         );
         assert_eq!(entries[0].lock_wait_ns, 4_000);
         assert_eq!(entries[0].translog_bytes, 1_024);
+        assert!(t.slow_queries().is_empty(), "the two logs are separate");
     }
 }

@@ -5,7 +5,7 @@
 use crate::expo::TelemetrySnapshot;
 use crate::journal::{EventKind, Journal};
 use crate::registry::{Labels, MetricsRegistry};
-use crate::slowlog::{SlowQueryEntry, SlowQueryLog, SlowWriteEntry, SlowWriteLog};
+use crate::slowlog::{Ring, SlowQueryEntry, SlowWriteEntry};
 use crate::span::StageSample;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,8 +66,8 @@ impl TelemetryConfig {
 pub struct Telemetry {
     config: TelemetryConfig,
     registry: Arc<MetricsRegistry>,
-    slow_log: SlowQueryLog,
-    slow_write_log: SlowWriteLog,
+    slow_queries: Ring<SlowQueryEntry>,
+    slow_writes: Ring<SlowWriteEntry>,
     journal: Arc<Journal>,
     trace_tick: AtomicU64,
 }
@@ -100,8 +100,8 @@ impl Telemetry {
         Telemetry {
             config,
             registry,
-            slow_log: SlowQueryLog::new(cap),
-            slow_write_log: SlowWriteLog::new(cap),
+            slow_queries: Ring::new(cap),
+            slow_writes: Ring::new(cap),
             journal,
             trace_tick: AtomicU64::new(0),
         }
@@ -182,31 +182,27 @@ impl Telemetry {
 
     /// Appends a slow-query entry.
     pub fn log_slow(&self, entry: SlowQueryEntry) {
-        self.slow_log.push(entry);
+        self.slow_queries.push(entry);
     }
 
     /// Appends a slow-write entry.
     pub fn log_slow_write(&self, entry: SlowWriteEntry) {
-        self.slow_write_log.push(entry);
+        self.slow_writes.push(entry);
     }
 
     /// Current slow-query log contents, oldest first.
     pub fn slow_queries(&self) -> Vec<SlowQueryEntry> {
-        self.slow_log.entries()
+        self.slow_queries.entries()
     }
 
     /// Current slow-write log contents, oldest first.
     pub fn slow_writes(&self) -> Vec<SlowWriteEntry> {
-        self.slow_write_log.entries()
+        self.slow_writes.entries()
     }
 
-    /// Point-in-time snapshot of every metric, with both slow logs
-    /// attached.
+    /// Point-in-time snapshot of every metric.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = TelemetrySnapshot::from_registry(&self.registry);
-        snap.slow_queries = self.slow_log.snapshot().1;
-        snap.slow_writes = self.slow_write_log.snapshot().1;
-        snap
+        TelemetrySnapshot::from_registry(&self.registry)
     }
 }
 
@@ -318,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_carries_slow_logs() {
+    fn slow_logs_read_through_the_facade() {
         let t = Telemetry::default();
         t.log_slow_write(SlowWriteEntry {
             trace_id: 0,
@@ -328,9 +324,9 @@ mod tests {
             translog_bytes: 640,
             total_ns: 1,
         });
-        let snap = t.snapshot();
-        assert!(snap.slow_queries.is_empty());
-        assert_eq!(snap.slow_writes.len(), 1);
-        assert_eq!(snap.slow_writes[0].shard, 2);
+        assert!(t.slow_queries().is_empty());
+        let writes = t.slow_writes();
+        assert_eq!(writes.len(), 1);
+        assert_eq!(writes[0].shard, 2);
     }
 }

@@ -14,13 +14,8 @@
 //! same lane with LIFO ordering — which the exporter tests and the
 //! observability integration suite verify through a real JSON parse.
 
+use crate::json::{obj, Json};
 use crate::span::StageSample;
-
-/// Timestamp in microseconds with nanosecond precision, rendered
-/// deterministically (`1234.567`).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
 
 /// Lane for a sample: coordinator stages on 0, shard stages on shard+1.
 fn lane(s: &StageSample) -> u64 {
@@ -28,37 +23,34 @@ fn lane(s: &StageSample) -> u64 {
 }
 
 /// Renders samples as Chrome trace-event JSON: an object with a
-/// `traceEvents` array of well-nested `B`/`E` pairs. `trace_id` labels
-/// every event's args so multiple exports can be concatenated and still
-/// attributed.
-pub fn chrome_trace_json(trace_id: u64, samples: &[StageSample]) -> String {
+/// `traceEvents` array of well-nested `B`/`E` pairs, timestamps in
+/// microseconds. `trace_id` labels every event's args so multiple
+/// exports can be concatenated and still attributed.
+pub fn chrome_trace_json(trace_id: u64, samples: &[StageSample]) -> Json {
     // Per-lane sweep with a stack of open ends, clamping children into
     // their enclosing spans so each lane is a legal call stack.
     let mut lanes: Vec<u64> = samples.iter().map(lane).collect();
     lanes.sort_unstable();
     lanes.dedup();
-    let mut out = String::with_capacity(samples.len() * 160 + 64);
-    out.push_str("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
-    let mut first = true;
-    let push_event =
-        |out: &mut String, first: &mut bool, ph: char, s: &StageSample, ts_ns: u64, tid: u64| {
-            if !*first {
-                out.push_str(", ");
-            }
-            *first = false;
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"cat\": \"esdb\", \"ph\": \"{}\", \"ts\": {}, \
-             \"pid\": 1, \"tid\": {}, \"args\": {{\"trace_id\": {}, \"span\": {}, \
-             \"parent\": {}}}}}",
-                s.stage,
-                ph,
-                us(ts_ns),
-                tid,
-                trace_id,
-                s.id,
-                s.parent
-            ));
-        };
+    let mut events = Vec::with_capacity(samples.len() * 2);
+    let event = |ph: &str, s: &StageSample, ts_ns: u64, tid: u64| {
+        obj(vec![
+            ("name", s.stage.into()),
+            ("cat", "esdb".into()),
+            ("ph", ph.into()),
+            ("ts", (ts_ns as f64 / 1_000.0).into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            (
+                "args",
+                obj(vec![
+                    ("trace_id", trace_id.into()),
+                    ("span", s.id.into()),
+                    ("parent", s.parent.into()),
+                ]),
+            ),
+        ])
+    };
     for tid in lanes {
         let mut spans: Vec<&StageSample> = samples.iter().filter(|s| lane(s) == tid).collect();
         spans.sort_by_key(|s| (s.start_ns, u64::MAX - s.dur_ns, s.id));
@@ -67,7 +59,7 @@ pub fn chrome_trace_json(trace_id: u64, samples: &[StageSample]) -> String {
         for s in spans {
             while let Some(&(top, top_end)) = open.last() {
                 if top_end <= s.start_ns {
-                    push_event(&mut out, &mut first, 'E', top, top_end, tid);
+                    events.push(event("E", top, top_end, tid));
                     open.pop();
                 } else {
                     break;
@@ -78,47 +70,44 @@ pub fn chrome_trace_json(trace_id: u64, samples: &[StageSample]) -> String {
                 end = end.min(top_end);
             }
             let end = end.max(s.start_ns);
-            push_event(&mut out, &mut first, 'B', s, s.start_ns, tid);
+            events.push(event("B", s, s.start_ns, tid));
             open.push((s, end));
         }
         while let Some((top, top_end)) = open.pop() {
-            push_event(&mut out, &mut first, 'E', top, top_end, tid);
+            events.push(event("E", top, top_end, tid));
         }
     }
-    out.push_str("]}");
-    out
+    obj(vec![
+        ("displayTimeUnit", "ns".into()),
+        ("traceEvents", Json::Arr(events)),
+    ])
 }
 
-/// Renders samples as structured JSON: the lossless flat form (tree via
-/// `parent` ids), sorted by start offset then span id.
-pub(crate) fn trace_json(trace_id: u64, samples: &[StageSample]) -> String {
+/// The structured form: the lossless flat span list (tree via `parent`
+/// ids), sorted by start offset then span id.
+pub(crate) fn trace_json(trace_id: u64, samples: &[StageSample]) -> Json {
     let mut ordered: Vec<&StageSample> = samples.iter().collect();
     ordered.sort_by_key(|s| (s.start_ns, s.id));
-    let mut out = String::with_capacity(samples.len() * 120 + 48);
-    out.push_str(&format!("{{\"trace_id\": {trace_id}, \"spans\": ["));
-    for (i, s) in ordered.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"stage\": \"{}\", \"id\": {}, \"parent\": {}, \"shard\": {}, \
-             \"start_ns\": {}, \"dur_ns\": {}}}",
-            s.stage,
-            s.id,
-            s.parent,
-            s.shard
-                .map_or_else(|| "null".to_string(), |sh| sh.to_string()),
-            s.start_ns,
-            s.dur_ns
-        ));
-    }
-    out.push_str("]}");
-    out
+    let spans = ordered.iter().map(|s| {
+        obj(vec![
+            ("stage", s.stage.into()),
+            ("id", s.id.into()),
+            ("parent", s.parent.into()),
+            ("shard", s.shard.into()),
+            ("start_ns", s.start_ns.into()),
+            ("dur_ns", s.dur_ns.into()),
+        ])
+    });
+    obj(vec![
+        ("trace_id", trace_id.into()),
+        ("spans", spans.collect()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
 
     fn sample(
         stage: &'static str,
@@ -140,43 +129,45 @@ mod tests {
 
     /// Checks per-lane B/E stack discipline: every E closes the most
     /// recent open B on its tid, timestamps never go backwards, and
-    /// nothing stays open.
-    fn assert_well_nested(json: &str) {
-        let mut stacks: std::collections::HashMap<String, Vec<String>> = Default::default();
-        let mut last_ts: std::collections::HashMap<String, f64> = Default::default();
-        for ev in json.split("{\"name\": \"").skip(1) {
-            let name = &ev[..ev.find('"').expect("name end")];
-            let ph = ev
-                .split("\"ph\": \"")
-                .nth(1)
-                .and_then(|r| r.chars().next())
-                .expect("ph");
-            let ts: f64 = ev
-                .split("\"ts\": ")
-                .nth(1)
-                .and_then(|r| r.split(',').next())
-                .expect("ts")
-                .parse()
-                .expect("ts value");
-            let tid = ev
-                .split("\"tid\": ")
-                .nth(1)
-                .and_then(|r| r.split(',').next())
-                .expect("tid")
-                .to_string();
-            let prev = last_ts.entry(tid.clone()).or_insert(0.0);
+    /// nothing stays open. Reads the rendered text back through the
+    /// parser, so the check covers the writer too.
+    fn assert_well_nested(json: &Json) {
+        let doc = parse(&json.to_text()).expect("chrome trace parses");
+        let events = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("events");
+        let mut stacks: std::collections::HashMap<u64, Vec<&str>> = Default::default();
+        let mut last_ts: std::collections::HashMap<u64, f64> = Default::default();
+        for ev in events {
+            let name = ev.get("name").and_then(Json::as_str).expect("name");
+            let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
+            let ts = match ev.get("ts").expect("ts") {
+                Json::Float(f) => *f,
+                other => other.as_u64().expect("ts value") as f64,
+            };
+            let tid = ev.get("tid").and_then(Json::as_u64).expect("tid");
+            let prev = last_ts.entry(tid).or_insert(0.0);
             assert!(ts >= *prev, "timestamps monotone per lane");
             *prev = ts;
             let stack = stacks.entry(tid).or_default();
             match ph {
-                'B' => stack.push(name.to_string()),
-                'E' => assert_eq!(stack.pop().as_deref(), Some(name), "LIFO close"),
+                "B" => stack.push(name),
+                "E" => assert_eq!(stack.pop(), Some(name), "LIFO close"),
                 other => panic!("unexpected phase {other}"),
             }
         }
         for (tid, stack) in stacks {
             assert!(stack.is_empty(), "lane {tid} left spans open: {stack:?}");
         }
+    }
+
+    fn phases(json: &Json, ph: &str) -> usize {
+        let events = json.get("traceEvents").and_then(Json::as_arr).unwrap();
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+            .count()
     }
 
     #[test]
@@ -189,10 +180,12 @@ mod tests {
             sample("gather", 5, 1, None, 9_000, 800),
         ];
         let json = chrome_trace_json(42, &samples);
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"trace_id\": 42"));
-        assert_eq!(json.matches("\"ph\": \"B\"").count(), 5);
-        assert_eq!(json.matches("\"ph\": \"E\"").count(), 5);
+        let events = json.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert!(events
+            .iter()
+            .all(|e| { e.get("args").and_then(|a| a.get("trace_id")) == Some(&Json::UInt(42)) }));
+        assert_eq!(phases(&json, "B"), 5);
+        assert_eq!(phases(&json, "E"), 5);
         assert_well_nested(&json);
     }
 
@@ -205,8 +198,7 @@ mod tests {
             sample("b", 2, 1, None, 500, 1_500),
             sample("c", 3, 1, None, 600, 100),
         ];
-        let json = chrome_trace_json(7, &samples);
-        assert_well_nested(&json);
+        assert_well_nested(&chrome_trace_json(7, &samples));
     }
 
     #[test]
@@ -215,21 +207,26 @@ mod tests {
             sample("execute", 3, 1, Some(2), 700, 8_000),
             sample("query", 1, 0, None, 0, 10_000),
         ];
-        let json = trace_json(9, &samples);
-        assert!(json.starts_with("{\"trace_id\": 9, \"spans\": ["));
-        let qpos = json.find("\"stage\": \"query\"").expect("query span");
-        let epos = json.find("\"stage\": \"execute\"").expect("execute span");
-        assert!(qpos < epos, "sorted by start offset");
-        assert!(json.contains("\"shard\": 2"));
-        assert!(json.contains("\"shard\": null"));
+        let json = parse(&trace_json(9, &samples).to_text()).unwrap();
+        assert_eq!(json.get("trace_id"), Some(&Json::UInt(9)));
+        let spans = json.get("spans").and_then(Json::as_arr).unwrap();
+        let stage = |i: usize| spans[i].get("stage").and_then(Json::as_str);
+        assert_eq!((stage(0), stage(1)), (Some("query"), Some("execute")));
+        assert_eq!(spans[0].get("shard"), Some(&Json::Null));
+        assert_eq!(spans[1].get("shard"), Some(&Json::UInt(2)));
+        assert_eq!(spans[1].get("start_ns"), Some(&Json::UInt(700)));
+        assert_eq!(spans[1].get("dur_ns"), Some(&Json::UInt(8_000)));
     }
 
     #[test]
     fn empty_trace_exports_empty_arrays() {
         assert_eq!(
             chrome_trace_json(1, &[]),
-            "{\"displayTimeUnit\": \"ns\", \"traceEvents\": []}"
+            parse(r#"{"displayTimeUnit": "ns", "traceEvents": []}"#).unwrap()
         );
-        assert_eq!(trace_json(1, &[]), "{\"trace_id\": 1, \"spans\": []}");
+        assert_eq!(
+            trace_json(1, &[]),
+            parse(r#"{"trace_id": 1, "spans": []}"#).unwrap()
+        );
     }
 }

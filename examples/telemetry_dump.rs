@@ -63,7 +63,7 @@ fn main() {
 
     let snapshot = db.telemetry_snapshot();
     if json {
-        println!("{}", snapshot.to_json());
+        println!("{}", snapshot.to_json().to_text());
         return;
     }
 

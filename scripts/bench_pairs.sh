@@ -1,24 +1,27 @@
 #!/bin/sh
-# Is a change faster than its parent? Runs the BENCHMARK.json command in
-# two checkouts alternately, N pairs of full runs of one workload, the
-# parent first on odd pairs and the change first on even ones, each run
-# from its own checkout root. Then prints, per end-to-end metric: each
-# side's median and quartiles, how many pairs the change won, and a
-# verdict: "gain holds" when the change wins at least 9 in 10 pairs and
-# its median beats the parent's by more than the parent's interquartile
-# range; otherwise "worse than bound" when the change's median is worse
-# by more than the metric's bound in BENCHMARK.json, "unresolved" when
-# either side's interquartile range exceeds the bound, and "within
-# bound" else. Every run is listed as well.
+# Is a change faster than its parent? Builds the benchmark binary of each
+# checkout once, copies both into one run directory under names of the
+# same length, and runs them alternately: N pairs of full runs of one
+# workload, the parent first on odd pairs and the change first on even
+# ones. Every run starts from that directory with the same fixed
+# environment (`env -i`) and a fresh `.bench_out/` that is deleted after
+# it, so the two sides differ only in their binary. Then prints, per
+# end-to-end metric: each side's median and quartiles, how many pairs
+# the change won, and a verdict: "gain holds" when the change wins at
+# least 9 in 10 pairs and its median beats the parent's by more than the
+# parent's interquartile range; otherwise "worse than bound" when the
+# change's median is worse by more than the metric's bound in
+# BENCHMARK.json, "unresolved" when either side's interquartile range
+# exceeds the bound, and "within bound" else. Every run is listed as well.
 #
 #   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS FIRST_SEED [SEED_STEP]
 #
 # Pair i runs seed FIRST_SEED + (i-1) * SEED_STEP (step 0 repeats one
 # seed; default 1). Results go to .bench_out/pairs/ under the current
-# directory. Needs python3; exits non-zero if any run fails an output
-# check.
+# directory, the binaries to .bench_out/pairs/run/. Needs python3; exits
+# non-zero if a build fails or any run fails an output check.
 set -u
-[ $# -ge 5 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
+[ $# -ge 5 ] || { sed -n '2,24p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd) || exit 2
 change=$(cd "$2" && pwd) || exit 2
 workload=$3
@@ -26,27 +29,39 @@ pairs=$4
 first=$5
 step=${6:-1}
 out=.bench_out/pairs
-mkdir -p "$out"
+mkdir -p "$out/run"
+rundir=$(cd "$out/run" && pwd)
 log="$out/$workload-seed$first-step$step.jsonl"
 : > "$log"
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$change/BENCHMARK.json")
 
-run() { # side dir seed pair
-  cmd=$(cd "$2" && python3 -c 'import json; print(" ".join(json.load(open("BENCHMARK.json"))["command"]))')
-  seconds=$(cd "$2" && python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
-  echo "bench_pairs: pair $4 $1 $workload seed $3" >&2
-  line=$(cd "$2" && $cmd --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1)
-  echo "{\"side\": \"$1\", \"pair\": $4, \"seed\": $3, \"result\": ${line:-null}}" >> "$log"
+build() { # side dir
+  echo "bench_pairs: building $1 ($2)" >&2
+  (cd "$2" && env -u CARGO_TARGET_DIR cargo build --release --offline --quiet \
+      --manifest-path benchmark/Cargo.toml) || exit 1
+  cp "$2/benchmark/target/release/esdb-benchmark" "$rundir/bin-$1" || exit 1
+}
+build parent "$parent"
+build change "$change"
+
+run() { # side seed pair
+  echo "bench_pairs: pair $3 $1 $workload seed $2" >&2
+  rm -rf "$rundir/.bench_out"
+  line=$(cd "$rundir" && env -i LC_ALL=C "./bin-$1" --workload "$workload" --seed "$2" \
+      --seconds "$seconds" --trace 0 | tail -n 1)
+  rm -rf "$rundir/.bench_out"
+  echo "{\"side\": \"$1\", \"pair\": $3, \"seed\": $2, \"result\": ${line:-null}}" >> "$log"
 }
 
 i=1
 while [ "$i" -le "$pairs" ]; do
   seed=$((first + (i - 1) * step))
   if [ $((i % 2)) -eq 1 ]; then
-    run parent "$parent" "$seed" "$i"
-    run change "$change" "$seed" "$i"
+    run parent "$seed" "$i"
+    run change "$seed" "$i"
   else
-    run change "$change" "$seed" "$i"
-    run parent "$parent" "$seed" "$i"
+    run change "$seed" "$i"
+    run parent "$seed" "$i"
   fi
   i=$((i + 1))
 done

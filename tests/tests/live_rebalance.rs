@@ -15,6 +15,7 @@ use esdb_core::{Esdb, EsdbConfig, MigrationPhase};
 use esdb_doc::{CollectionSchema, Document};
 use esdb_integration_tests::test_dir;
 use esdb_routing::place;
+use esdb_telemetry::json::Json;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -184,7 +185,14 @@ fn migration_lifecycle_end_to_end_with_racing_readers() {
     assert!(errors.is_empty(), "prometheus lint: {errors:?}");
     // Admin surface parity: the bundle carries the migration state.
     let bundle = db.debug_bundle().to_json();
-    assert!(bundle.contains("\"phase\": \"done\""), "bundle: {bundle}");
+    let migrations = bundle.get("migrations").and_then(Json::as_arr).unwrap();
+    assert!(
+        migrations
+            .iter()
+            .any(|m| m.get("phase").and_then(Json::as_str) == Some("done")),
+        "bundle: {}",
+        bundle.to_text()
+    );
 }
 
 #[test]
@@ -317,8 +325,19 @@ fn admin_migrations_endpoint_exposes_live_state() {
     );
     let mut admin = EsdbClient::connect(&addr, "root").expect("connect");
     let body = admin.admin_migrations().expect("admin/migrations");
-    assert!(body.contains("\"active\": 0"), "terminal state: {body}");
-    assert!(body.contains("\"phase\": \"done\""), "body: {body}");
-    assert!(body.contains("\"tenant\": 777"), "body: {body}");
     handle.shutdown();
+    let doc = esdb_telemetry::json::parse(&body).expect("admin/migrations parses");
+    assert_eq!(
+        doc.get("active"),
+        Some(&Json::UInt(0)),
+        "terminal state: {body}"
+    );
+    let migrations = doc.get("migrations").and_then(Json::as_arr).unwrap();
+    assert!(
+        migrations
+            .iter()
+            .any(|m| m.get("tenant") == Some(&Json::UInt(HOT))
+                && m.get("phase").and_then(Json::as_str) == Some("done")),
+        "body: {body}"
+    );
 }

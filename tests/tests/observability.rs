@@ -392,7 +392,7 @@ fn chrome_trace_export_is_valid_and_well_nested() {
         root.finish();
     }
     let trace_id = trace.trace_id();
-    let json = chrome_trace_json(trace_id, &trace.into_samples());
+    let json = chrome_trace_json(trace_id, &trace.into_samples()).to_text();
 
     let parsed = Parser::parse(&json).expect("chrome trace must be valid JSON");
     let events = parsed
@@ -523,7 +523,7 @@ fn unsampled_slow_queries_carry_full_span_trees() {
 
 /// Slow-write twin: threshold 0 logs every per-shard write submission
 /// with the shard, op counts, and byte accounting filled in, and the
-/// snapshot exposes the log next to the slow queries.
+/// debug bundle carries the log next to the slow queries.
 #[test]
 fn slow_write_log_records_drains() {
     let db = Esdb::open(
@@ -552,8 +552,7 @@ fn slow_write_log_records_drains() {
         assert!(w.translog_bytes > 0, "entries account translog bytes");
         assert!(w.total_ns > 0);
     }
-    let snap = db.telemetry_snapshot();
-    assert_eq!(snap.slow_writes.len(), writes.len());
+    assert_eq!(db.debug_bundle().slow_writes.len(), writes.len());
 }
 
 // ---------------------------------------------------------------------
@@ -575,7 +574,7 @@ fn debug_bundle_serializes_state_as_valid_json() {
     rd.query("SELECT * FROM transaction_logs WHERE tenant_id = 1 LIMIT 5")
         .unwrap();
     let bundle = db.debug_bundle();
-    let json = bundle.to_json();
+    let json = bundle.to_json().to_text();
     let parsed = Parser::parse(&json).expect("debug bundle must be valid JSON");
 
     let config = parsed.get("config").expect("config section");

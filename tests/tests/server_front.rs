@@ -7,12 +7,12 @@ use esdb_common::{RecordId, TenantId};
 use esdb_core::{Esdb, EsdbConfig};
 use esdb_doc::{CollectionSchema, Document, FieldValue};
 use esdb_integration_tests::test_dir;
-use esdb_server::json::Json;
 use esdb_server::{
     start, wire, AdmissionConfig, ClientError, EsdbClient, RateLimit, ServerConfig, TcpTransport,
     TokenTable, Transport, WireOp,
 };
-use esdb_telemetry::lint_prometheus;
+use esdb_telemetry::json::{self, Json};
+use esdb_telemetry::{json_histogram_counts, lint_prometheus, prometheus_histogram_counts};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -474,12 +474,74 @@ fn get_does_not_cross_tenants() {
     let mut t2 = EsdbClient::connect(&addr, "tok-2").expect("connect t2");
     let other = t2.get(TenantId(2), RecordId(7), a.created_at).expect("get");
     assert_eq!(other, None, "tenant 2 must not read tenant 1's row");
-
-    // The admin client endpoints answer with JSON documents.
-    let mut admin = EsdbClient::connect(&addr, "root").expect("connect admin");
-    assert!(admin.admin_telemetry().expect("telemetry").starts_with('{'));
-    assert!(admin.admin_bundle().expect("bundle").starts_with('{'));
     handle.shutdown();
+}
+
+/// Every admin JSON document parses with the one parser, and the
+/// documents agree: the bundle's rule list is `/admin/rules`', its
+/// migrations are `/admin/migrations`', and the telemetry snapshot's
+/// histogram counts are the Prometheus text's.
+#[test]
+fn admin_documents_parse_and_agree() {
+    let mut db = Esdb::open(
+        CollectionSchema::transaction_logs(),
+        EsdbConfig::new(test_dir(&format!("srv-admin-{}", rand::random::<u64>()))).shards(16),
+    )
+    .expect("open");
+    let w = db.writer();
+    for r in 0..2_000u64 {
+        let tenant = if r % 10 < 9 { 777 } else { 1_000 + r };
+        w.insert(sample_doc(tenant, r, 0)).expect("insert");
+    }
+    db.refresh();
+    assert!(db.rebalance() > 0, "skew must commit a rule");
+    db.drive_migrations();
+    let (handle, addr) = serve(
+        db,
+        ServerConfig {
+            tokens: default_tokens(),
+            admission: AdmissionConfig::default(),
+        },
+    );
+    let mut admin = EsdbClient::connect(&addr, "root").expect("connect admin");
+    admin
+        .query("SELECT * FROM transaction_logs WHERE tenant_id = 777 LIMIT 5")
+        .expect("query");
+    let parse = |text: String| json::parse(&text).expect("admin document parses");
+    let rules = parse(admin.admin_rules().expect("rules"));
+    let migrations = parse(admin.admin_migrations().expect("migrations"));
+    let bundle = parse(admin.admin_bundle().expect("bundle"));
+    let telemetry = admin.admin_telemetry().expect("telemetry");
+    let metrics = admin.admin_metrics().expect("metrics");
+    handle.shutdown();
+
+    let rule_count = rules.get("rule_count").and_then(Json::as_u64).unwrap();
+    assert!(rule_count >= 1);
+    let bundle_rules = bundle.get("rules").and_then(Json::as_arr).unwrap();
+    assert_eq!(bundle_rules.len() as u64, rule_count);
+    assert_eq!(bundle.get("rules"), rules.get("rules"));
+    let tenants = bundle_rules[0]
+        .get("tenants")
+        .and_then(Json::as_arr)
+        .unwrap();
+    assert_eq!(tenants, [Json::UInt(777)]);
+
+    assert_eq!(migrations.get("active"), Some(&Json::UInt(0)));
+    assert_eq!(bundle.get("migrations"), migrations.get("migrations"));
+
+    // The two scrapes are two requests, and the admin token's own
+    // requests (tenant 0) are timed between them; every other series
+    // is still.
+    let settled = |counts: Vec<(String, u64)>| -> Vec<(String, u64)> {
+        counts
+            .into_iter()
+            .filter(|(series, _)| !series.contains("tenant=\"0\""))
+            .collect()
+    };
+    json::parse(&telemetry).expect("telemetry parses");
+    let from_json = settled(json_histogram_counts(&telemetry));
+    assert!(!from_json.is_empty());
+    assert_eq!(from_json, settled(prometheus_histogram_counts(&metrics)));
 }
 
 // ---------------------------------------------------------------------

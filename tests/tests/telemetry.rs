@@ -267,7 +267,7 @@ fn live_snapshot_lints_and_round_trips() {
     let errors = lint_prometheus(&prom);
     assert!(errors.is_empty(), "lint violations: {errors:?}");
     let prom_counts = prometheus_histogram_counts(&prom);
-    let json_counts = json_histogram_counts(&snap.to_json());
+    let json_counts = json_histogram_counts(&snap.to_json().to_text());
     assert!(!prom_counts.is_empty());
     assert_eq!(prom_counts, json_counts, "Prometheus/JSON count round-trip");
     // Storage-layer stage series made it into the shared registry.
